@@ -183,25 +183,9 @@ func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value
 	}
 	b := newBinder(e, args, rel, nil, e.writerCtx())
 	if where != nil && !whereApplied {
-		if prog := e.compiledProg(where, rel.cols); prog != nil {
-			kept, err := e.runFilterRows(prog, rel.cols, rel.rows, args)
-			if err != nil {
-				return nil, nil, err
-			}
-			rel.rows = kept
-			return rel, b, nil
+		if err := e.refilter(where, rel, b); err != nil {
+			return nil, nil, err
 		}
-		kept := rel.rows[:0:0]
-		for _, r := range rel.rows {
-			ok, err := b.evalBool(where, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				kept = append(kept, r)
-			}
-		}
-		rel.rows = kept
 	}
 	return rel, b, nil
 }
@@ -310,7 +294,7 @@ func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, args []types.Va
 	for _, i := range which {
 		setVals[i] = make([]types.Value, n)
 	}
-	err := e.evalVecs(progs, rel, args, func(start, count int, vecs []*vm.Vec) error {
+	err := e.evalVecsRange(progs, rel, args, 0, n, func(start, count int, vecs []*vm.Vec) error {
 		for vi, i := range which {
 			for ri := 0; ri < count; ri++ {
 				if err := vecs[vi].Err(ri); err != nil {
@@ -326,7 +310,7 @@ func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, args []types.Va
 		return nil
 	})
 	if err != nil {
-		// evalVecs only fails through the sink, which never errors here.
+		// evalVecsRange only fails through the sink, which never errors here.
 		return nil, nil
 	}
 	return setVals, setErrs

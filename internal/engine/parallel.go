@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -14,7 +13,8 @@ import (
 	"ediflow/internal/types"
 )
 
-// Morsel-driven intra-query parallelism.
+// The morsel executor: the one compiled execution path for scans,
+// GROUP BY keys, aggregate folds and hash-join builds.
 //
 // A full scan over an MVCC snapshot is embarrassingly parallel: the
 // slot array is captured once (storage.SlotView), every worker resolves
@@ -25,7 +25,11 @@ import (
 // exactly the serial scan's rows, errors, and rows-scanned tally:
 // parallel execution is an invisible implementation detail.
 //
-// The worker budget is engine-wide (Engine.parExtra): a query reserves
+// Serial execution is the same code at width 1: one morsel (or row
+// range) spanning the whole input, run on the calling goroutine with
+// the statement's own machines, gathered without a copy or a merge.
+//
+// The worker budget is engine-wide (Engine.parExtra): a phase reserves
 // extra workers against the configured parallelism before fanning out
 // and releases them at gather, so concurrent sessions degrade to
 // narrower plans instead of oversubscribing the cores.
@@ -33,13 +37,9 @@ import (
 // morselSlots is the number of version-chain slots per morsel: 16 VM
 // batches, small enough to load-balance skewed filters, large enough to
 // amortize batch refills. Package variable (not const) so tests can
-// shrink it to force multi-morsel plans on small tables.
+// shrink it to force multi-morsel plans on small tables. A phase fans
+// out only over at least two morsels' worth of input (parallelWidth).
 var morselSlots = 16 * vm.BatchSize
-
-// defaultParallelMinRows is the slot-count threshold below which scans
-// always stay serial: two morsels is the minimum useful fan-out, and
-// point lookups / small tables must not pay goroutine overhead.
-const defaultParallelMinRows = 2 * 16 * vm.BatchSize
 
 // parallelGroupCap bounds per-worker aggregate state slabs: beyond this
 // many groups the partial-state memory (workers x items x groups)
@@ -59,28 +59,16 @@ func (e *Engine) SetParallelism(n int) {
 // Parallelism reports the configured per-query worker target.
 func (e *Engine) Parallelism() int { return int(e.parallelism.Load()) }
 
-// SetParallelMinRows sets the slot-count threshold a table scan (or
-// materialized row set) must reach before the planner considers
-// parallel execution. 0 resets the default.
-func (e *Engine) SetParallelMinRows(n int) {
-	if n <= 0 {
-		n = defaultParallelMinRows
-	}
-	e.parMinRows.Store(int64(n))
-}
-
-// parallelWidth reports how many workers a phase over n rows would
-// target — 1 means stay serial. It does not reserve anything.
+// parallelWidth reports how many workers a phase over n rows (or slots)
+// would target — 1 means serial: parallelism is off, or the input is
+// smaller than two morsels, so point lookups and small tables never pay
+// goroutine overhead. It does not reserve anything.
 func (e *Engine) parallelWidth(n int) int {
 	w := int(e.parallelism.Load())
-	if w <= 1 || int64(n) < e.parMinRows.Load() {
+	if w <= 1 || n < 2*morselSlots {
 		return 1
 	}
-	m := (n + morselSlots - 1) / morselSlots
-	if m < 2 {
-		return 1
-	}
-	if w > m {
+	if m := (n + morselSlots - 1) / morselSlots; w > m {
 		w = m
 	}
 	return w
@@ -117,10 +105,44 @@ func (e *Engine) releaseWorkers(n int) {
 	}
 }
 
+// fanOut runs one phase on the calling goroutine plus up to width-1
+// extra workers reserved from the engine-wide budget, and returns how
+// many goroutines ran it. split learns that count first (1 = the caller
+// alone: nothing reserved, no goroutine started) and returns how many
+// work items the phase is cut into. Each goroutine then runs worker
+// with its index (id 0 is the caller, which may use the statement's
+// own machines) and a claim function that hands out item indexes in
+// increasing order off one atomic cursor, reporting false once they run
+// out. Workers keep their per-goroutine state in locals of worker, so a
+// width-1 phase allocates its batch buffers on the caller's stack.
+func (e *Engine) fanOut(width int, split func(nw int) int, worker func(id int, claim func() (int, bool))) int {
+	extra := e.reserveWorkers(width - 1)
+	defer e.releaseWorkers(extra)
+	nw := extra + 1
+	items := split(nw)
+	var cursor atomic.Int64
+	claim := func() (int, bool) {
+		i := int(cursor.Add(1) - 1)
+		return i, i < items
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < nw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			worker(w, claim)
+		}(w)
+	}
+	worker(0, claim)
+	wg.Wait()
+	return nw
+}
+
 // notePar records the widest fan-out any phase of the statement used,
-// for the vm.parallel_queries / vm.parallel_workers metrics.
+// for the vm.parallel_queries / vm.parallel_workers metrics. Width 1 is
+// serial and records nothing.
 func (ctx *stmtCtx) notePar(nw int) {
-	if int64(nw) > ctx.parWorkers {
+	if nw > 1 && int64(nw) > ctx.parWorkers {
 		ctx.parWorkers = int64(nw)
 	}
 }
@@ -128,7 +150,7 @@ func (ctx *stmtCtx) notePar(nw int) {
 // morselOut is one morsel's slot in the reorder buffer. Workers fill
 // slots out of order; the gather walks them in morsel order so output
 // rows, the first surfaced error, and the scan tally are byte-identical
-// to the serial scan.
+// at every width.
 type morselOut struct {
 	rows     []types.Row
 	scanned  int
@@ -136,27 +158,21 @@ type morselOut struct {
 	projErr  error
 }
 
-// parallelScan runs the compiled streaming full scan fanned out over
-// morsels of the snapshot's slot array. Returns handled=false when the
-// scan should stay serial (below threshold, parallelism off, or the
-// engine-wide worker budget is exhausted). On handled=true the matched
-// rows were appended to rel.rows (or emitted through proj) and the scan
-// tally counted, exactly as the serial path would have.
-func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, args []types.Value, ctx *stmtCtx, nUser int) (bool, error) {
+// scanTable runs the compiled streaming full scan of tbl as of the
+// statement snapshot: snapshot rows are pulled into a column batch and
+// the compiled WHERE runs over ~1k lanes at a time. Only the columns
+// the programs read are copied into vectors; version values (immutable
+// under MVCC) are referenced, not copied, until a lane passes the
+// filter. With proj set the projection is evaluated on the filled batch
+// and output tuples are emitted directly. Matched rows land in rel.rows
+// and the scan tally is counted.
+//
+// At width 1 one morsel spans the whole slot view and runs on the
+// caller's machines; wider scans cut the view into morselSlots-long
+// morsels claimed in order by the workers.
+func (e *Engine) scanTable(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, args []types.Value, ctx *stmtCtx, nUser int) error {
 	view := tbl.View(ctx.snap)
 	nSlots := view.Slots()
-	width := e.parallelWidth(nSlots)
-	if width <= 1 {
-		return false, nil
-	}
-	morsels := (nSlots + morselSlots - 1) / morselSlots
-	extra := e.reserveWorkers(width - 1)
-	if extra == 0 {
-		return false, nil
-	}
-	defer e.releaseWorkers(extra)
-	nw := extra + 1
-
 	kinds := batchKinds(rel.cols)
 	used := scanUsedCols(prog, proj)
 	needSys := false
@@ -166,20 +182,32 @@ func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Progra
 		}
 	}
 
-	outs := make([]morselOut, morsels)
-	var cursor atomic.Int64
-	// errFloor is the lowest morsel index that hit a WHERE error: the
-	// serial scan would have aborted inside it, so morsels above it are
-	// dead weight. The cursor hands morsels out in increasing order, so
-	// skipping every claim above the floor never skips a morsel that
-	// could lower it.
-	errFloor := atomic.Int64{}
-	errFloor.Store(int64(morsels))
-
-	worker := func() {
+	span := nSlots
+	var outs []morselOut
+	// errFloor is the lowest morsel index that hit a WHERE error: a
+	// one-morsel scan would have aborted inside it, so morsels above it
+	// are dead weight. The cursor hands morsels out in increasing order,
+	// so a worker whose claim lands above the floor can stop: no later
+	// claim could lower it.
+	var errFloor atomic.Int64
+	nw := e.fanOut(e.parallelWidth(nSlots), func(nw int) int {
+		if nw > 1 {
+			span = morselSlots
+		}
+		morsels := 1
+		if span > 0 {
+			morsels = (nSlots + span - 1) / span
+		}
+		outs = make([]morselOut, morsels)
+		errFloor.Store(int64(morsels))
+		return morsels
+	}, func(id int, claim func() (int, bool)) {
 		m := vm.NewMachine(prog)
 		m.Bind(args)
-		wproj := proj.clone(args)
+		wproj := proj
+		if id > 0 {
+			wproj = proj.clone(args)
+		}
 		batch := vm.NewBatch(kinds, used)
 		var scratch types.Row
 		if needSys {
@@ -188,51 +216,55 @@ func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Progra
 		vals := make([]types.Row, 0, vm.BatchSize)
 		tids := make([]int64, 0, vm.BatchSize)
 		created := make([]int64, 0, vm.BatchSize)
-		for {
-			mi := int(cursor.Add(1) - 1)
-			if mi >= morsels || int64(mi) > errFloor.Load() {
-				return
-			}
-			out := &outs[mi]
-			flush := func() error {
-				if len(vals) == 0 {
-					return nil
-				}
-				if needSys {
-					batch.Reset()
-					for i := range vals {
-						copy(scratch, vals[i])
-						scratch[nUser] = types.NewInt(tids[i])
-						scratch[nUser+1] = types.NewInt(created[i])
-						batch.Append(scratch)
-					}
-				} else {
-					batch.Fill(vals)
-				}
-				lanes, err := m.Filter(batch)
-				if err != nil {
-					return err
-				}
-				if len(lanes) > 0 && out.projErr == nil {
-					if wproj != nil {
-						out.projErr = wproj.emit(&out.rows, batch, lanes, vals, tids, created, nUser)
-					} else {
-						w := nUser + 2
-						slab := make([]types.Value, len(lanes)*w)
-						for k, i := range lanes {
-							full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
-							copy(full, vals[i])
-							full[nUser] = types.NewInt(tids[i])
-							full[nUser+1] = types.NewInt(created[i])
-							out.rows = append(out.rows, full)
-						}
-					}
-				}
-				e.countVM(batch.Len())
-				vals, tids, created = vals[:0], tids[:0], created[:0]
+		flush := func(out *morselOut) error {
+			if len(vals) == 0 {
 				return nil
 			}
-			for it := view.IterateRange(mi*morselSlots, (mi+1)*morselSlots); ; {
+			if needSys {
+				// The programs read the tid/created pseudo-columns:
+				// splice them into a scratch row and fill row-at-a-time.
+				batch.Reset()
+				for i := range vals {
+					copy(scratch, vals[i])
+					scratch[nUser] = types.NewInt(tids[i])
+					scratch[nUser+1] = types.NewInt(created[i])
+					batch.Append(scratch)
+				}
+			} else {
+				batch.Fill(vals)
+			}
+			lanes, err := m.Filter(batch)
+			if err != nil {
+				return err
+			}
+			// A projection-item error must not surface before a WHERE
+			// error from a later row (the interpreter filters the whole
+			// table before projecting anything), so it is held in the
+			// morsel's slot until the gather.
+			if len(lanes) > 0 && out.projErr == nil {
+				if wproj != nil {
+					out.projErr = wproj.emit(&out.rows, batch, lanes, vals, tids, created, nUser)
+				} else {
+					// One slab per batch instead of one allocation per
+					// matched row.
+					w := nUser + 2
+					slab := make([]types.Value, len(lanes)*w)
+					for k, i := range lanes {
+						full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
+						copy(full, vals[i])
+						full[nUser] = types.NewInt(tids[i])
+						full[nUser+1] = types.NewInt(created[i])
+						out.rows = append(out.rows, full)
+					}
+				}
+			}
+			e.countVM(batch.Len())
+			vals, tids, created = vals[:0], tids[:0], created[:0]
+			return nil
+		}
+		for mi, ok := claim(); ok && int64(mi) <= errFloor.Load(); mi, ok = claim() {
+			out := &outs[mi]
+			for it := view.IterateRange(mi*span, (mi+1)*span); ; {
 				sr, more := it.Next()
 				if !more {
 					break
@@ -242,16 +274,13 @@ func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Progra
 				tids = append(tids, sr.TID)
 				created = append(created, sr.Created)
 				if len(vals) == vm.BatchSize {
-					if err := flush(); err != nil {
-						out.whereErr = err
+					if out.whereErr = flush(out); out.whereErr != nil {
 						break
 					}
 				}
 			}
 			if out.whereErr == nil {
-				if err := flush(); err != nil {
-					out.whereErr = err
-				}
+				out.whereErr = flush(out)
 			}
 			if out.whereErr != nil {
 				vals, tids, created = vals[:0], tids[:0], created[:0]
@@ -264,49 +293,40 @@ func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Progra
 				}
 			}
 		}
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
+	})
 
 	// Gather in morsel order. A WHERE error aborts without counting the
-	// tally (the serial scan returns before countScanned); a projection
-	// error is surfaced only when no morsel hit a WHERE error, matching
-	// the serial scan's deferral of projection errors to scan end.
+	// tally; a projection error is surfaced only when no morsel hit a
+	// WHERE error.
 	for i := range outs {
 		if outs[i].whereErr != nil {
-			return true, outs[i].whereErr
+			return outs[i].whereErr
 		}
 	}
-	total := 0
-	scanned := 0
+	total, scanned := 0, 0
 	for i := range outs {
 		if outs[i].projErr != nil {
-			return true, outs[i].projErr
+			return outs[i].projErr
 		}
 		total += len(outs[i].rows)
 		scanned += outs[i].scanned
 	}
-	if rel.rows == nil {
+	if len(outs) == 1 {
+		rel.rows = outs[0].rows
+	} else {
 		rel.rows = make([]types.Row, 0, total)
-	}
-	for i := range outs {
-		rel.rows = append(rel.rows, outs[i].rows...)
+		for i := range outs {
+			rel.rows = append(rel.rows, outs[i].rows...)
+		}
 	}
 	e.countScanned(ctx, scanned)
-	ctx.notePar(nw)
-	if e.reg.Enabled() {
-		e.mParMorsels.Add(int64(morsels))
+	if nw > 1 {
+		ctx.notePar(nw)
+		if e.reg.Enabled() {
+			e.mParMorsels.Add(int64(len(outs)))
+		}
 	}
-	return true, nil
+	return nil
 }
 
 // scanUsedCols unions the columns read by the WHERE program and any
@@ -357,9 +377,10 @@ func (sp *scanProj) clone(args []types.Value) *scanProj {
 	return c
 }
 
-// evalVecsRange is evalVecs restricted to rel.rows[lo:hi), with the
-// sink's start index still absolute. Workers call it over disjoint
-// ranges with their own machines.
+// evalVecsRange runs several compiled programs over rel.rows[lo:hi)
+// chunk by chunk, invoking sink with each chunk's result vectors (valid
+// only during the callback) and the chunk's absolute start index.
+// Workers call it over disjoint ranges, each with its own machines.
 func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
 	machines := make([]*vm.Machine, len(progs))
 	usedSet := map[int]bool{}
@@ -395,7 +416,8 @@ func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.
 }
 
 // contiguousRanges splits [0, n) into nw near-equal ranges aligned to
-// batch boundaries, so no batch straddles two workers.
+// batch boundaries, so no batch straddles two workers. nw == 1 yields
+// the single range [0, n).
 func contiguousRanges(n, nw int) [][2]int {
 	per := (n/nw + vm.BatchSize) / vm.BatchSize * vm.BatchSize
 	var rs [][2]int
@@ -409,33 +431,22 @@ func contiguousRanges(n, nw int) [][2]int {
 	return rs
 }
 
-// parallelKeys computes group keys fanned out over contiguous row
-// ranges. Returns handled=false to fall back to the serial batch path.
-// Error selection: each range records its first (row, expression)
-// error and stops; the lowest range's error is the one the serial scan
-// would have surfaced first.
-func (e *Engine) parallelKeys(progs []*vm.Program, rel *relation, args []types.Value, keys []string, ctx *stmtCtx) (bool, error) {
+// evalKeys computes the group key of every row of rel through the
+// compiled key programs, over contiguous row ranges. Error selection:
+// each range records its first (row, expression) error and stops; the
+// lowest range's error is the one a single range would have surfaced
+// first.
+func (e *Engine) evalKeys(progs []*vm.Program, rel *relation, args []types.Value, keys []string, ctx *stmtCtx) error {
 	n := len(rel.rows)
-	width := e.parallelWidth(n)
-	if width <= 1 {
-		return false, nil
-	}
-	extra := e.reserveWorkers(width - 1)
-	if extra == 0 {
-		return false, nil
-	}
-	defer e.releaseWorkers(extra)
-	nw := extra + 1
-	ranges := contiguousRanges(n, nw)
-	errs := make([]error, len(ranges))
-	var cursor atomic.Int64
-	worker := func() {
+	var ranges [][2]int
+	var errs []error
+	nw := e.fanOut(e.parallelWidth(n), func(nw int) int {
+		ranges = contiguousRanges(n, nw)
+		errs = make([]error, len(ranges))
+		return len(ranges)
+	}, func(_ int, claim func() (int, bool)) {
 		keyVals := make(types.Row, len(progs))
-		for {
-			wi := int(cursor.Add(1) - 1)
-			if wi >= len(ranges) {
-				return
-			}
+		for wi, ok := claim(); ok; wi, ok = claim() {
 			errs[wi] = e.evalVecsRange(progs, rel, args, ranges[wi][0], ranges[wi][1], func(start, count int, vecs []*vm.Vec) error {
 				for ri := 0; ri < count; ri++ {
 					for gi := range progs {
@@ -449,24 +460,14 @@ func (e *Engine) parallelKeys(progs []*vm.Program, rel *relation, args []types.V
 				return nil
 			})
 		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
-			return true, err
+			return err
 		}
 	}
 	ctx.notePar(nw)
-	return true, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -501,8 +502,8 @@ func aggOpOf(name string) (aggOp, bool) {
 // Comparability classes for MIN/MAX merge safety. types.Compare never
 // errors between two values of the same class (INT and FLOAT form one
 // numeric class); any cross-class or unknown-kind comparison may, so a
-// fold that saw mixed classes cannot be merged from partials — the
-// serial fold's error depends on accumulation order.
+// fold that saw mixed classes cannot be merged from partials — a
+// one-range fold's error depends on accumulation order.
 const (
 	clsNumeric uint8 = iota
 	clsBool
@@ -529,13 +530,15 @@ func classOf(v types.Value) uint8 {
 }
 
 // aggState is one (aggregate item, group) accumulator, folded directly
-// from typed vector lanes — no boxed per-row value cache. argErr is the
-// first lane error in row order (what the interpreter's collect loop
-// would surface, always beating fold errors); foldErr is the first
-// error the fold itself raised (AsFloat on a non-numeric SUM operand,
-// cross-class Compare). notAllInt / mixed mark states whose partials
-// cannot be merged across row ranges (float addition is not
-// associative; cross-class Compare errors are order-dependent).
+// from typed vector lanes — no boxed per-row value cache. It is the one
+// compiled fold kernel: every simple aggregate item, DISTINCT or not,
+// folds through it. argErr is the first lane error in row order (what
+// the interpreter's collect loop would surface, always beating fold
+// errors); foldErr is the first error the fold itself raised (AsFloat
+// on a non-numeric SUM operand, cross-class Compare). notAllInt / mixed
+// mark states whose partials cannot be merged across row ranges (float
+// addition is not associative; cross-class Compare errors are
+// order-dependent). seen is a DISTINCT item's set of folded values.
 type aggState struct {
 	cnt       int64
 	si        int64
@@ -543,6 +546,7 @@ type aggState struct {
 	best      types.Value
 	argErr    error
 	foldErr   error
+	seen      map[string]struct{}
 	have      bool
 	notAllInt bool
 	mixed     bool
@@ -573,8 +577,8 @@ func (st *aggState) step(op aggOp, v types.Value) {
 }
 
 // result finalizes a state into the aggregate's value with exactly
-// foldAggArg's semantics (NULL on empty, int/float promotion, argument
-// errors before fold errors).
+// foldAggregate's semantics (NULL on empty, int/float promotion,
+// argument errors before fold errors).
 func (st *aggState) result(op aggOp) (types.Value, error) {
 	if st.argErr != nil {
 		return types.Null, st.argErr
@@ -607,13 +611,14 @@ func (st *aggState) result(op aggOp) (types.Value, error) {
 }
 
 // aggFold holds the column-native fold states for every simple
-// non-DISTINCT aggregate item, laid out [item][group].
+// aggregate item, laid out [item][group].
 type aggFold struct {
-	calls   map[*sqltext.FuncCall]int
-	ops     []aggOp
-	progs   []*vm.Program
-	states  []aggState
-	nGroups int
+	calls    map[*sqltext.FuncCall]int
+	ops      []aggOp
+	distinct []bool
+	progs    []*vm.Program
+	states   []aggState
+	nGroups  int
 }
 
 func (f *aggFold) lookup(fc *sqltext.FuncCall, gi int) *aggState {
@@ -627,21 +632,10 @@ func (f *aggFold) lookup(fc *sqltext.FuncCall, gi int) *aggState {
 	return &f.states[ci*f.nGroups+gi]
 }
 
-func (f *aggFold) covers(fc *sqltext.FuncCall) bool {
-	if f == nil {
-		return false
-	}
-	_, ok := f.calls[fc]
-	return ok
-}
-
 // buildAggFold selects the foldable aggregate items (simple call, one
-// lowerable argument, not DISTINCT) and folds them over rel.rows —
-// column-natively from typed lanes, in parallel row ranges when the
-// relation is large, the group count is bounded, and every item's
-// argument is statically merge-safe. Any state that turns out
-// merge-unsafe at runtime (float SUM, mixed-class MIN/MAX) triggers one
-// serial refold, which is always exact.
+// lowerable argument) and folds them over rel.rows column-natively from
+// typed lanes. Items it leaves out fall back to the interpreter's
+// evalAggregateCall.
 func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int, ctx *stmtCtx) *aggFold {
 	if !e.vmOn() || len(rel.rows) == 0 || nGroups == 0 {
 		return nil
@@ -649,7 +643,7 @@ func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGro
 	f := &aggFold{calls: map[*sqltext.FuncCall]int{}, nGroups: nGroups}
 	for _, it := range items {
 		fc, ok := it.Expr.(*sqltext.FuncCall)
-		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || fc.Distinct || len(fc.Args) != 1 {
+		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || len(fc.Args) != 1 {
 			continue
 		}
 		if _, dup := f.calls[fc]; dup {
@@ -665,82 +659,69 @@ func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGro
 		}
 		f.calls[fc] = len(f.ops)
 		f.ops = append(f.ops, op)
+		f.distinct = append(f.distinct, fc.Distinct)
 		f.progs = append(f.progs, p)
 	}
 	if len(f.ops) == 0 {
 		return nil
 	}
-	if e.parallelAggFold(f, rel, b.args, rowGroup, ctx) {
-		return f
-	}
-	f.states = e.foldRanges(f, rel, b.args, 0, len(rel.rows), rowGroup)
+	f.states = e.foldStates(f, rel, b.args, rowGroup, ctx)
 	return f
 }
 
-// staticMergeSafe reports whether an item's fold partials can be merged
-// across row ranges given the argument's statically inferred kind:
-// integer sums are associative, single-kind MIN/MAX never hits a
-// cross-class Compare. Kinds are advisory (columns can promote), so the
-// runtime notAllInt/mixed flags remain the backstop.
-func staticMergeSafe(op aggOp, p *vm.Program, kinds []types.Kind) bool {
-	switch op {
-	case aggCount:
-		return true
-	case aggSum, aggAvg:
-		return p.StaticKind(kinds) == types.KindInt
-	default:
-		return p.StaticKind(kinds) != types.KindNull
-	}
-}
-
-// parallelAggFold folds f over contiguous row ranges in parallel and
-// merges the partials in range order. Returns false when the fold
-// should stay serial.
-func (e *Engine) parallelAggFold(f *aggFold, rel *relation, args []types.Value, rowGroup []int32, ctx *stmtCtx) bool {
-	n := len(rel.rows)
-	if f.nGroups > parallelGroupCap {
-		return false
-	}
-	width := e.parallelWidth(n)
-	if width <= 1 {
-		return false
-	}
-	kinds := batchKinds(rel.cols)
+// mergeSafe reports whether f's partials can be merged across row
+// ranges given the arguments' statically inferred kinds: integer sums
+// are associative, single-kind MIN/MAX never hits a cross-class
+// Compare. Kinds are advisory (columns can promote), so the runtime
+// notAllInt/mixed flags remain the backstop. A DISTINCT item's seen set
+// spans the whole input, so it is always folded as one range.
+func (f *aggFold) mergeSafe(kinds []types.Kind) bool {
 	for i, op := range f.ops {
-		if !staticMergeSafe(op, f.progs[i], kinds) {
+		if f.distinct[i] {
 			return false
 		}
-	}
-	extra := e.reserveWorkers(width - 1)
-	if extra == 0 {
-		return false
-	}
-	nw := extra + 1
-	ranges := contiguousRanges(n, nw)
-	partials := make([][]aggState, len(ranges))
-	var cursor atomic.Int64
-	worker := func() {
-		for {
-			wi := int(cursor.Add(1) - 1)
-			if wi >= len(ranges) {
-				return
+		switch op {
+		case aggCount:
+		case aggSum, aggAvg:
+			if f.progs[i].StaticKind(kinds) != types.KindInt {
+				return false
 			}
-			partials[wi] = e.foldRanges(f, rel, args, ranges[wi][0], ranges[wi][1], rowGroup)
+		default:
+			if f.progs[i].StaticKind(kinds) == types.KindNull {
+				return false
+			}
 		}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
-	e.releaseWorkers(extra)
+	return true
+}
 
+// foldStates folds f over contiguous row ranges and merges the partials
+// in range order. A single range (width 1, too many groups, or items
+// that are not merge-safe) is the fold itself. When a merged state
+// turns out merge-unsafe at runtime (float SUM, mixed-class MIN/MAX),
+// the input is refolded as one range, which is always exact.
+func (e *Engine) foldStates(f *aggFold, rel *relation, args []types.Value, rowGroup []int32, ctx *stmtCtx) []aggState {
+	n := len(rel.rows)
+	width := 1
+	if f.nGroups <= parallelGroupCap && f.mergeSafe(batchKinds(rel.cols)) {
+		width = e.parallelWidth(n)
+	}
+	var ranges [][2]int
+	var partials [][]aggState
+	nw := e.fanOut(width, func(nw int) int {
+		ranges = contiguousRanges(n, nw)
+		partials = make([][]aggState, len(ranges))
+		return len(ranges)
+	}, func(_ int, claim func() (int, bool)) {
+		for wi, ok := claim(); ok; wi, ok = claim() {
+			partials[wi] = e.foldRange(f, rel, args, ranges[wi][0], ranges[wi][1], rowGroup)
+		}
+	})
+	ctx.notePar(nw)
 	merged := partials[0]
+	if len(partials) == 1 {
+		return merged
+	}
 	for _, part := range partials[1:] {
 		mergeAggStates(merged, part, f.ops, f.nGroups)
 	}
@@ -748,26 +729,19 @@ func (e *Engine) parallelAggFold(f *aggFold, rel *relation, args []types.Value, 
 		st := &merged[i]
 		op := f.ops[i/f.nGroups]
 		if ((op == aggSum || op == aggAvg) && st.notAllInt) || ((op == aggMin || op == aggMax) && st.mixed) {
-			// A partial turned out merge-unsafe at runtime: refold
-			// everything serially. One extra pass, but only on shapes
-			// (float sums, mixed-class extrema) whose merged result
-			// could diverge from the serial fold.
-			f.states = e.foldRanges(f, rel, args, 0, n, rowGroup)
-			ctx.notePar(nw)
-			return true
+			return e.foldRange(f, rel, args, 0, n, rowGroup)
 		}
 	}
-	f.states = merged
-	ctx.notePar(nw)
-	return true
+	return merged
 }
 
 // mergeAggStates folds src's partial states (a later contiguous row
-// range) into dst's in range order. Error selection mirrors the serial
+// range) into dst's in range order. Error selection mirrors a one-range
 // fold: the earliest range's argument error wins, fold errors for
 // integer sums are range-independent, and MIN/MAX partials merge by a
 // single Compare against the accumulated best (exact for single-class
-// folds; mixed-class folds are flagged and refolded serially).
+// folds; mixed-class folds are flagged and refolded as one range).
+// DISTINCT states never reach it (see mergeSafe).
 func mergeAggStates(dst, src []aggState, ops []aggOp, nGroups int) {
 	for ci, op := range ops {
 		for g := 0; g < nGroups; g++ {
@@ -806,13 +780,13 @@ func mergeAggStates(dst, src []aggState, ops []aggOp, nGroups int) {
 	}
 }
 
-// foldRanges folds every item of f over rel.rows[lo:hi), column-native:
+// foldRange folds every item of f over rel.rows[lo:hi), column-native:
 // typed int/float lanes fold without boxing a single value.
-func (e *Engine) foldRanges(f *aggFold, rel *relation, args []types.Value, lo, hi int, rowGroup []int32) []aggState {
+func (e *Engine) foldRange(f *aggFold, rel *relation, args []types.Value, lo, hi int, rowGroup []int32) []aggState {
 	states := make([]aggState, len(f.ops)*f.nGroups)
 	_ = e.evalVecsRange(f.progs, rel, args, lo, hi, func(start, count int, vecs []*vm.Vec) error {
 		for ci := range f.ops {
-			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], vecs[ci], rowGroup, start, count)
+			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
 		}
 		return nil
 	})
@@ -824,8 +798,10 @@ func (e *Engine) foldRanges(f *aggFold, rel *relation, args []types.Value, lo, h
 // becomes the state's argument error (first in row order, matching the
 // interpreter's collect loop, which surfaces any argument error before
 // folding); a state with a fold error keeps watching for argument
-// errors only; NULL lanes are skipped.
-func foldVec(states []aggState, op aggOp, vec *vm.Vec, rowGroup []int32, start, count int) {
+// errors only; NULL lanes are skipped, and so are DISTINCT repeats —
+// the remaining values fold in first-occurrence order, exactly the
+// deduplicated sequence foldAggregate sees.
+func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup []int32, start, count int) {
 	kind := vec.Kind()
 	for ri := 0; ri < count; ri++ {
 		st := &states[0]
@@ -844,6 +820,16 @@ func foldVec(states []aggState, op aggOp, vec *vm.Vec, rowGroup []int32, start, 
 		}
 		if vec.IsNull(ri) {
 			continue
+		}
+		if distinct {
+			k := vec.Value(ri).HashKey()
+			if _, dup := st.seen[k]; dup {
+				continue
+			}
+			if st.seen == nil {
+				st.seen = map[string]struct{}{}
+			}
+			st.seen[k] = struct{}{}
 		}
 		switch op {
 		case aggCount:
@@ -905,25 +891,32 @@ func foldVec(states []aggState, op aggOp, vec *vm.Vec, rowGroup []int32, start, 
 }
 
 // ---------------------------------------------------------------------------
-// Parallel hash-join build.
+// Hash-join build.
 
 // joinIndex maps a join key to the right-side row indexes carrying it,
-// in ascending row order. Built single-threaded into one map, or in
-// parallel as hash partitions (each partition builder scans the
-// precomputed keys ascending, so per-key index lists keep the order the
-// serial build would produce, and the probe stays byte-identical).
+// in ascending row order, as hash partitions (one at width 1). Each
+// partition builder scans the precomputed keys ascending, so per-key
+// index lists keep row order at every width and the probe is
+// byte-identical.
 type joinIndex struct {
-	single map[string][]int
-	parts  []map[string][]int
+	parts []map[string][]int
 }
 
 func (ix *joinIndex) lookup(k string) []int {
-	if ix.single != nil {
-		return ix.single[k]
+	return ix.parts[partOf(k, len(ix.parts))][k]
+}
+
+// partOf assigns a join key to one of n hash partitions (FNV-1a).
+func partOf(k string, n int) int {
+	if n == 1 {
+		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return ix.parts[h.Sum32()%uint32(len(ix.parts))][k]
+	h := uint32(2166136261)
+	for i := 0; i < len(k); i++ {
+		h ^= uint32(k[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // joinKey builds the equality key for a row, or ok=false when any key
@@ -939,41 +932,21 @@ func joinKey(row types.Row, cols []int) (string, bool) {
 	return types.RowKey(key), true
 }
 
-// buildJoinIndex builds the right-side hash index, fanning the key
-// computation and partitioned insertion out to workers when the build
-// side is large enough.
+// buildJoinIndex builds the right-side hash index in two phases: keys
+// and partition assignments over contiguous row ranges, then one
+// builder per partition.
 func (e *Engine) buildJoinIndex(rows []types.Row, eqR []int, ctx *stmtCtx) *joinIndex {
 	n := len(rows)
-	width := e.parallelWidth(n)
-	extra := 0
-	if width > 1 {
-		extra = e.reserveWorkers(width - 1)
-	}
-	if extra == 0 {
-		ix := &joinIndex{single: make(map[string][]int, n)}
-		for i, rr := range rows {
-			if k, ok := joinKey(rr, eqR); ok {
-				ix.single[k] = append(ix.single[k], i)
-			}
-		}
-		return ix
-	}
-	defer e.releaseWorkers(extra)
-	nw := extra + 1
-
-	// Phase 1: keys and partition assignments, computed over contiguous
-	// row ranges.
 	keys := make([]string, n)
 	part := make([]int32, n) // -1 = NULL key, never joins
-	ranges := contiguousRanges(n, nw)
-	var cursor atomic.Int64
-	keyWorker := func() {
-		for {
-			wi := int(cursor.Add(1) - 1)
-			if wi >= len(ranges) {
-				return
-			}
-			h := fnv.New32a()
+	var ranges [][2]int
+	nParts := 1
+	nw := e.fanOut(e.parallelWidth(n), func(nw int) int {
+		nParts = nw
+		ranges = contiguousRanges(n, nw)
+		return len(ranges)
+	}, func(_ int, claim func() (int, bool)) {
+		for wi, ok := claim(); ok; wi, ok = claim() {
 			for i := ranges[wi][0]; i < ranges[wi][1]; i++ {
 				k, ok := joinKey(rows[i], eqR)
 				if !ok {
@@ -981,35 +954,17 @@ func (e *Engine) buildJoinIndex(rows []types.Row, eqR []int, ctx *stmtCtx) *join
 					continue
 				}
 				keys[i] = k
-				h.Reset()
-				h.Write([]byte(k))
-				part[i] = int32(h.Sum32() % uint32(nw))
+				part[i] = int32(partOf(k, nParts))
 			}
 		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			keyWorker()
-		}()
-	}
-	keyWorker()
-	wg.Wait()
+	})
 
-	// Phase 2: one builder per partition scans rows ascending and keeps
-	// only its own hash class — insertion order per key is ascending,
-	// exactly as the single-threaded build.
-	ix := &joinIndex{parts: make([]map[string][]int, nw)}
-	var pcur atomic.Int64
-	partWorker := func() {
-		for {
-			p := int(pcur.Add(1) - 1)
-			if p >= nw {
-				return
-			}
-			m := make(map[string][]int)
+	// One builder per partition scans rows ascending and keeps only its
+	// own hash class: insertion order per key is ascending.
+	ix := &joinIndex{parts: make([]map[string][]int, nParts)}
+	e.fanOut(nParts, func(int) int { return nParts }, func(_ int, claim func() (int, bool)) {
+		for p, ok := claim(); ok; p, ok = claim() {
+			m := make(map[string][]int, n/nParts)
 			for i := 0; i < n; i++ {
 				if int(part[i]) == p {
 					m[keys[i]] = append(m[keys[i]], i)
@@ -1017,16 +972,7 @@ func (e *Engine) buildJoinIndex(rows []types.Row, eqR []int, ctx *stmtCtx) *join
 			}
 			ix.parts[p] = m
 		}
-	}
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			partWorker()
-		}()
-	}
-	partWorker()
-	wg.Wait()
+	})
 	ctx.notePar(nw)
 	return ix
 }

@@ -9,16 +9,15 @@ import (
 	"ediflow/internal/types"
 )
 
-// forceParallel shrinks the morsel size and thresholds so even tiny
-// test tables fan out, and restores everything on cleanup. Returns the
-// engine configured for width workers.
-func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel, minRows int) {
+// forceParallel shrinks the morsel size (and with it the two-morsel
+// fan-out threshold) so even tiny test tables fan out, and restores it
+// on cleanup. Returns the engine configured for width workers.
+func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel int) {
 	t.Helper()
 	old := morselSlots
 	morselSlots = slotsPerMorsel
 	t.Cleanup(func() { morselSlots = old })
 	e.SetParallelism(width)
-	e.SetParallelMinRows(minRows)
 }
 
 // execSerialParallel runs sql serially and with parallelism forced on,
@@ -124,7 +123,7 @@ func newParTestDB(t testing.TB, rows int) *Engine {
 // execution, including the rows_scanned tally.
 func TestParallelDifferential(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	stmts := []string{
 		// Filtered scans with projection pushdown (bare and computed).
 		"SELECT id FROM p WHERE v > 500",
@@ -154,6 +153,15 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT COUNT(DISTINCT v), SUM(DISTINCT v) FROM p",
 		"SELECT b, MIN(w), MAX(id) FROM p GROUP BY b",
 		"SELECT COUNT(*) FROM p WHERE s LIKE 'str%'",
+		// DISTINCT folds: argument error, fold error, extrema, grouped,
+		// a HAVING that rejects the only erroring group, and DISTINCT
+		// beside merge-safe items.
+		"SELECT SUM(DISTINCT 10 / v) FROM p",
+		"SELECT SUM(DISTINCT s) FROM p",
+		"SELECT MIN(DISTINCT s), MAX(DISTINCT v) FROM p",
+		"SELECT s, COUNT(DISTINCT v), AVG(DISTINCT w) FROM p GROUP BY s",
+		"SELECT v % 7, SUM(DISTINCT 10 / v) FROM p GROUP BY v % 7 HAVING MIN(v) > 0",
+		"SELECT COUNT(DISTINCT v), SUM(v), COUNT(*), MAX(w) FROM p WHERE id > 10",
 		// Joins: parallel partitioned build on the materialized side.
 		"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
 		"SELECT dim.label, COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k GROUP BY dim.label",
@@ -177,12 +185,14 @@ func TestParallelDifferential(t *testing.T) {
 }
 
 // TestParallelTinyMorsels drives the differential corpus from the VM
-// tests' table shape with pathologically small morsels (4 slots), so
-// every batch straddles morsel boundaries and the reorder buffer is
-// exercised with dozens of single-batch morsels.
+// tests' table shape with pathologically small morsels (3 slots, so the
+// 7-row table clears the two-morsel threshold), so every batch
+// straddles morsel boundaries and the reorder buffer is exercised with
+// single-batch morsels.
 func TestParallelTinyMorsels(t *testing.T) {
 	e := newVMTestDB(t)
-	forceParallel(t, e, 4, 4, 1)
+	forceParallel(t, e, 4, 3)
+	q0 := e.mParQueries.Value()
 	stmts := []string{
 		"SELECT id FROM v WHERE a > 0",
 		"SELECT id, a + f FROM v WHERE a >= -1",
@@ -197,13 +207,16 @@ func TestParallelTinyMorsels(t *testing.T) {
 	for _, sql := range stmts {
 		execSerialParallel(t, e, 4, sql)
 	}
+	if e.mParQueries.Value() == q0 {
+		t.Fatal("no statement fanned out: the parallel side of every pair ran at width 1")
+	}
 }
 
 // TestParallelMetrics: a fanned-out query must tick vm.parallel_queries,
 // vm.morsels and vm.parallel_workers; a serial query must not.
 func TestParallelMetrics(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	q0, m0, w0 := e.mParQueries.Value(), e.mParMorsels.Value(), e.mParWorkers.Value()
 	mustExec(t, e, "SELECT id FROM p WHERE v > 500")
 	if e.mParQueries.Value() != q0+1 {
@@ -215,11 +228,25 @@ func TestParallelMetrics(t *testing.T) {
 	if got := e.mParWorkers.Value() - w0; got < 2 || got > 4 {
 		t.Fatalf("vm.parallel_workers delta: got %d, want 2..4", got)
 	}
+	// Width 1 runs the same executor as one morsel on the caller: it
+	// must tick none of the parallel counters.
 	e.SetParallelism(1)
-	q1 := e.mParQueries.Value()
-	mustExec(t, e, "SELECT id FROM p WHERE v > 500")
+	q1, m1, w1 := e.mParQueries.Value(), e.mParMorsels.Value(), e.mParWorkers.Value()
+	for _, sql := range []string{
+		"SELECT id FROM p WHERE v > 500",
+		"SELECT v % 7, COUNT(*), SUM(id) FROM p GROUP BY v % 7",
+		"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
+	} {
+		mustExec(t, e, sql)
+	}
 	if e.mParQueries.Value() != q1 {
 		t.Fatal("serial query ticked vm.parallel_queries")
+	}
+	if e.mParMorsels.Value() != m1 {
+		t.Fatal("serial query ticked vm.morsels")
+	}
+	if e.mParWorkers.Value() != w1 {
+		t.Fatal("serial query ticked vm.parallel_workers")
 	}
 	res := mustExec(t, e, "SELECT count(*) FROM sys_metrics WHERE name LIKE 'vm.parallel%' OR name = 'vm.morsels'")
 	if res.Rows[0][0].Int() != 3 {
@@ -232,7 +259,7 @@ func TestParallelMetrics(t *testing.T) {
 // rather than oversubscribing.
 func TestParallelWorkerBudget(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	if got := e.reserveWorkers(3); got != 3 {
 		t.Fatalf("reserveWorkers(3): got %d", got)
 	}
@@ -255,7 +282,7 @@ func TestParallelWorkerBudget(t *testing.T) {
 // the table clears the threshold and parallelism is on.
 func TestExplainParallelMarker(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	res := mustExec(t, e, "EXPLAIN SELECT id FROM p WHERE v > 500")
 	out := planText(res)
 	if !strings.Contains(out, "full-scan [compiled] [parallel n=4]") {
@@ -266,11 +293,19 @@ func TestExplainParallelMarker(t *testing.T) {
 	if out = planText(res); strings.Contains(out, "[parallel") {
 		t.Fatalf("parallel marker with parallelism=1:\n%s", out)
 	}
+	// Below two morsels (2 x 256 slots) the scan stays serial; at the
+	// threshold it fans out.
 	e.SetParallelism(4)
-	e.SetParallelMinRows(1 << 30)
-	res = mustExec(t, e, "EXPLAIN SELECT id FROM p WHERE v > 500")
+	mustExec(t, e, "CREATE TABLE q (id INT PRIMARY KEY, v INT)")
+	mustExec(t, e, "INSERT INTO q SELECT id, v FROM p WHERE id < 511")
+	res = mustExec(t, e, "EXPLAIN SELECT id FROM q WHERE v > 500")
 	if out = planText(res); strings.Contains(out, "[parallel") {
 		t.Fatalf("parallel marker below row threshold:\n%s", out)
+	}
+	mustExec(t, e, "INSERT INTO q SELECT id, v FROM p WHERE id = 511")
+	res = mustExec(t, e, "EXPLAIN SELECT id FROM q WHERE v > 500")
+	if out = planText(res); !strings.Contains(out, "[parallel n=2]") {
+		t.Fatalf("missing parallel marker at the row threshold:\n%s", out)
 	}
 }
 
@@ -291,7 +326,7 @@ func planText(res *Result) string {
 // workers walk it.
 func TestParallelStress(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	e.SetParallelism(4)
 	stop := make(chan struct{})
 	var churn, readers sync.WaitGroup

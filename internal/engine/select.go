@@ -127,27 +127,9 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 	}
 
 	// WHERE (unless the scan already streamed it — see buildTableRef).
-	// The compiled path covers index-scan refiltering, post-join filters,
-	// and IVM override evaluation alike: anything already materialized.
 	if sel.Where != nil && !whereApplied {
-		if prog := e.compiledProg(sel.Where, rel.cols); prog != nil {
-			kept, err := e.runFilterRows(prog, rel.cols, rel.rows, args)
-			if err != nil {
-				return nil, err
-			}
-			rel.rows = kept
-		} else {
-			kept := rel.rows[:0:0]
-			for _, r := range rel.rows {
-				ok, err := b.evalBool(sel.Where, r)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, r)
-				}
-			}
-			rel.rows = kept
+		if err := e.refilter(sel.Where, rel, b); err != nil {
+			return nil, err
 		}
 	}
 
@@ -235,6 +217,33 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 	}
 
 	return &Result{Columns: colNames, Rows: out}, nil
+}
+
+// refilter applies a WHERE the access path did not fully evaluate to
+// the already-materialized rows of rel (index-scan candidates, post-join
+// rows, IVM overrides): compiled when the predicate lowers, interpreted
+// through b otherwise.
+func (e *Engine) refilter(where sqltext.Expr, rel *relation, b *binder) error {
+	if prog := e.compiledProg(where, rel.cols); prog != nil {
+		kept, err := e.runFilterRows(prog, rel.cols, rel.rows, b.args)
+		if err != nil {
+			return err
+		}
+		rel.rows = kept
+		return nil
+	}
+	kept := rel.rows[:0:0]
+	for _, r := range rel.rows {
+		ok, err := b.evalBool(where, r)
+		if err != nil {
+			return err
+		}
+		if ok {
+			kept = append(kept, r)
+		}
+	}
+	rel.rows = kept
+	return nil
 }
 
 func evalIntArg(b *binder, e sqltext.Expr) (int64, error) {
@@ -334,10 +343,6 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 		}
 	}
 	fold := e.buildAggFold(items, rel, b, rowGroup, len(order), b.ctx)
-	argCache, err := e.aggArgCache(items, rel, b, fold)
-	if err != nil {
-		return nil, nil, err
-	}
 	var out []types.Row
 	var src []types.Row
 	for gi, k := range order {
@@ -370,7 +375,7 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 		}
 		row := make(types.Row, len(items))
 		for i, it := range items {
-			v, err := e.evalAggItem(it.Expr, idx, rowsOf, argCache, rel, b, fold, gi)
+			v, err := e.evalAggItem(it.Expr, idx, rowsOf, rel, b, fold, gi)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -402,28 +407,7 @@ func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]str
 			}
 		}
 		if all {
-			// Large relations fan the key computation out over contiguous
-			// row ranges (see parallelKeys); handled=false stays serial.
-			if handled, err := e.parallelKeys(progs, rel, b.args, keys, b.ctx); handled {
-				if err != nil {
-					return nil, err
-				}
-				return keys, nil
-			}
-			keyVals := make(types.Row, len(progs))
-			err := e.evalVecs(progs, rel, b.args, func(start, count int, vecs []*vm.Vec) error {
-				for ri := 0; ri < count; ri++ {
-					for gi := range progs {
-						if err := vecs[gi].Err(ri); err != nil {
-							return err
-						}
-						keyVals[gi] = vecs[gi].Value(ri)
-					}
-					keys[start+ri] = types.RowKey(keyVals)
-				}
-				return nil
-			})
-			if err != nil {
+			if err := e.evalKeys(progs, rel, b.args, keys, b.ctx); err != nil {
 				return nil, err
 			}
 			return keys, nil
@@ -443,76 +427,12 @@ func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]str
 	return keys, nil
 }
 
-// aggArgVec caches one aggregate call's argument evaluated over every
-// source row: the value per row, plus the error the interpreter would
-// have raised at that row (surfaced only if the row's group is actually
-// folded, mirroring interpreter laziness for HAVING-rejected groups).
-type aggArgVec struct {
-	vals []types.Value
-	errs []error
-}
-
-// aggArgCache batch-evaluates the argument of every simple aggregate
-// projection item (one lowerable argument) across rel.rows. Items the
-// column-native fold already covers (non-DISTINCT — see buildAggFold)
-// are skipped: only DISTINCT calls still need the per-row value cache
-// for their dedup pass.
-func (e *Engine) aggArgCache(items []projItem, rel *relation, b *binder, fold *aggFold) (map[*sqltext.FuncCall]*aggArgVec, error) {
-	if !e.vmOn() || len(rel.rows) == 0 {
-		return nil, nil
-	}
-	var calls []*sqltext.FuncCall
-	var progs []*vm.Program
-	seen := map[*sqltext.FuncCall]bool{}
-	for _, it := range items {
-		fc, ok := it.Expr.(*sqltext.FuncCall)
-		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || len(fc.Args) != 1 || seen[fc] || fold.covers(fc) {
-			continue
-		}
-		p := e.compiledProg(fc.Args[0], rel.cols)
-		if p == nil {
-			continue
-		}
-		seen[fc] = true
-		calls = append(calls, fc)
-		progs = append(progs, p)
-	}
-	if len(calls) == 0 {
-		return nil, nil
-	}
-	n := len(rel.rows)
-	cache := make(map[*sqltext.FuncCall]*aggArgVec, len(calls))
-	for _, fc := range calls {
-		cache[fc] = &aggArgVec{vals: make([]types.Value, n)}
-	}
-	err := e.evalVecs(progs, rel, b.args, func(start, count int, vecs []*vm.Vec) error {
-		for ci, fc := range calls {
-			av := cache[fc]
-			for ri := 0; ri < count; ri++ {
-				if err := vecs[ci].Err(ri); err != nil {
-					if av.errs == nil {
-						av.errs = make([]error, n)
-					}
-					av.errs[start+ri] = err
-					continue
-				}
-				av.vals[start+ri] = vecs[ci].Value(ri)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cache, nil
-}
-
 // evalAggItem evaluates one aggregate-context projection item for a
-// group given as row indexes, using the batched argument cache when the
-// item is a simple aggregate call, and deferring to the interpreter's
-// evalAgg otherwise. Semantics (NULL skipping, DISTINCT, error order)
-// are identical: the fold itself is shared (foldAggregate).
-func (e *Engine) evalAggItem(x sqltext.Expr, idx []int, rowsOf func() []types.Row, cache map[*sqltext.FuncCall]*aggArgVec, rel *relation, b *binder, fold *aggFold, gi int) (types.Value, error) {
+// group given as row indexes, reading the compiled fold's state when
+// the item is a simple aggregate call, and deferring to the
+// interpreter's evalAgg otherwise. Semantics (NULL skipping, DISTINCT,
+// error order) are identical.
+func (e *Engine) evalAggItem(x sqltext.Expr, idx []int, rowsOf func() []types.Row, rel *relation, b *binder, fold *aggFold, gi int) (types.Value, error) {
 	if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
 		name := strings.ToUpper(fc.Name)
 		if fc.Star {
@@ -525,34 +445,6 @@ func (e *Engine) evalAggItem(x sqltext.Expr, idx []int, rowsOf func() []types.Ro
 			op, _ := aggOpOf(name)
 			return st.result(op)
 		}
-		if av := cache[fc]; av != nil {
-			if !fc.Distinct && av.errs == nil {
-				return foldAggArg(name, av.vals, idx)
-			}
-			var vals []types.Value
-			var seen map[string]bool
-			if fc.Distinct {
-				seen = map[string]bool{}
-			}
-			for _, ri := range idx {
-				if av.errs != nil && av.errs[ri] != nil {
-					return types.Null, av.errs[ri]
-				}
-				v := av.vals[ri]
-				if v.IsNull() {
-					continue
-				}
-				if fc.Distinct {
-					k := v.HashKey()
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-				}
-				vals = append(vals, v)
-			}
-			return foldAggregate(name, vals)
-		}
 		return b.evalAggregateCall(fc, rowsOf())
 	}
 	if !sqltext.HasAggregate(x) {
@@ -564,121 +456,6 @@ func (e *Engine) evalAggItem(x sqltext.Expr, idx []int, rowsOf func() []types.Ro
 		return b.eval(x, rel.rows[idx[0]])
 	}
 	return b.evalAgg(x, rowsOf())
-}
-
-// foldAggArg folds a cached aggregate argument over a group's row
-// indexes without materializing the per-group value slice. Semantics
-// are exactly foldAggregate's (NULL skipping, int/float promotion,
-// value-order fold errors); callers use it only when the call is not
-// DISTINCT and no row's argument errored, so error ordering cannot
-// diverge from the collect-then-fold path.
-func foldAggArg(name string, vals []types.Value, idx []int) (types.Value, error) {
-	switch name {
-	case "COUNT":
-		n := 0
-		for _, ri := range idx {
-			if vals[ri].LaneKind() != types.KindNull {
-				n++
-			}
-		}
-		return types.NewInt(int64(n)), nil
-	case "SUM", "AVG":
-		allInt := true
-		var si int64
-		var sf float64
-		n := 0
-		for _, ri := range idx {
-			v := &vals[ri]
-			if v.LaneKind() == types.KindNull {
-				continue
-			}
-			n++
-			if v.LaneKind() == types.KindInt {
-				si += v.LaneInt()
-				continue
-			}
-			f, err := vals[ri].AsFloat()
-			if err != nil {
-				return types.Null, err
-			}
-			allInt = false
-			sf += f
-		}
-		if n == 0 {
-			return types.Null, nil
-		}
-		if name == "SUM" {
-			if allInt {
-				return types.NewInt(si), nil
-			}
-			return types.NewFloat(sf + float64(si)), nil
-		}
-		return types.NewFloat((sf + float64(si)) / float64(n)), nil
-	case "MIN", "MAX":
-		have := false
-		var best types.Value
-		for _, ri := range idx {
-			if vals[ri].LaneKind() == types.KindNull {
-				continue
-			}
-			if !have {
-				best, have = vals[ri], true
-				continue
-			}
-			c, err := types.Compare(vals[ri], best)
-			if err != nil {
-				return types.Null, err
-			}
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = vals[ri]
-			}
-		}
-		if !have {
-			return types.Null, nil
-		}
-		return best, nil
-	}
-	return types.Null, fmt.Errorf("engine: unknown aggregate %s", name)
-}
-
-// evalVecs runs several compiled programs over rel.rows chunk by chunk,
-// invoking sink with each chunk's result vectors (valid only during the
-// callback). Used by group-key and aggregate-argument batching.
-func (e *Engine) evalVecs(progs []*vm.Program, rel *relation, args []types.Value, sink func(start, count int, vecs []*vm.Vec) error) error {
-	machines := make([]*vm.Machine, len(progs))
-	usedSet := map[int]bool{}
-	for i, p := range progs {
-		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(args)
-		for _, c := range p.Cols() {
-			usedSet[c] = true
-		}
-	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
-	}
-	sort.Ints(used)
-	batch := vm.NewBatch(batchKinds(rel.cols), used)
-	vecs := make([]*vm.Vec, len(progs))
-	for start := 0; start < len(rel.rows); start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > len(rel.rows) {
-			end = len(rel.rows)
-		}
-		batch.Reset()
-		for _, r := range rel.rows[start:end] {
-			batch.Append(r)
-		}
-		for i, mch := range machines {
-			vecs[i] = mch.Eval(batch)
-		}
-		e.countVM(batch.Len())
-		if err := sink(start, batch.Len(), vecs); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // scanProj is a projection compiled for evaluation inside the scan
@@ -752,8 +529,7 @@ func plainIntArg(x sqltext.Expr) bool {
 }
 
 // emit projects the matched lanes of one scan batch into output tuples
-// on dst (rel.rows for the serial scan, a morsel's reorder-buffer slot
-// for parallel workers). A lane error is returned (not raised): the
+// on dst, a morsel's reorder-buffer slot. A lane error is returned (not raised): the
 // caller must keep scanning so a later row's WHERE error still wins,
 // exactly as the interpreter's filter-everything-then-project order
 // implies.
@@ -1230,11 +1006,9 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 
 	nUser := len(schema.Columns)
 
-	// Compiled streaming full scan: pull snapshot rows into a column
-	// batch and run the compiled WHERE over ~1k lanes at a time. Only the
-	// columns the program reads are copied into vectors; version values
-	// (immutable under MVCC) are referenced, not copied, until a lane
-	// passes the filter.
+	// Compiled streaming full scan (see scanTable): the morsel executor
+	// runs the compiled WHERE over column batches of snapshot rows, at
+	// whatever width the table size and worker budget allow.
 	if where != nil {
 		if prog := e.compiledProg(where, rel.cols); prog != nil {
 			// Projection pushdown: when the whole statement reduces to
@@ -1243,133 +1017,9 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 			// batch and emit output tuples directly — matched rows are
 			// never materialized at full table width.
 			proj := e.scanProjection(sel, rel, args, ctx)
-
-			// Morsel-parallel path (see parallel.go): big enough tables
-			// fan the same compiled filter + pushdown out to a worker
-			// pool, gathering byte-identical results through a reorder
-			// buffer. handled=false falls through to the serial loop.
-			handled, err := e.parallelScan(tbl, rel, prog, proj, args, ctx, nUser)
-			if err != nil {
+			if err := e.scanTable(tbl, rel, prog, proj, args, ctx, nUser); err != nil {
 				return nil, false, err
 			}
-			if handled {
-				if proj != nil {
-					cols := make([]colMeta, len(proj.names))
-					for i, n := range proj.names {
-						cols[i] = colMeta{name: strings.ToLower(n)}
-					}
-					rel.cols = cols
-					rel.projNames = proj.names
-				}
-				return rel, true, nil
-			}
-
-			m := vm.NewMachine(prog)
-			m.Bind(args)
-
-			usedSet := map[int]bool{}
-			for _, c := range prog.Cols() {
-				usedSet[c] = true
-			}
-			if proj != nil {
-				for _, p := range proj.progs {
-					if p == nil {
-						continue
-					}
-					for _, c := range p.Cols() {
-						usedSet[c] = true
-					}
-				}
-			}
-			used := make([]int, 0, len(usedSet))
-			for c := range usedSet {
-				used = append(used, c)
-			}
-			sort.Ints(used)
-			batch := vm.NewBatch(batchKinds(rel.cols), used)
-			needSys := false
-			for _, c := range used {
-				if c >= nUser {
-					needSys = true
-				}
-			}
-			var scratch types.Row
-			if needSys {
-				scratch = make(types.Row, nUser+2)
-			}
-			vals := make([]types.Row, 0, vm.BatchSize)
-			tids := make([]int64, 0, vm.BatchSize)
-			created := make([]int64, 0, vm.BatchSize)
-			// A projection-item error must not surface before a WHERE
-			// error from a later row (the interpreter filters the whole
-			// table before projecting anything), so it is deferred until
-			// the scan completes.
-			var projErr error
-			flush := func() error {
-				if len(vals) == 0 {
-					return nil
-				}
-				if needSys {
-					// Predicate reads tid/created pseudo-columns: splice
-					// them into a scratch row and fill row-at-a-time.
-					batch.Reset()
-					for i := range vals {
-						copy(scratch, vals[i])
-						scratch[nUser] = types.NewInt(tids[i])
-						scratch[nUser+1] = types.NewInt(created[i])
-						batch.Append(scratch)
-					}
-				} else {
-					batch.Fill(vals)
-				}
-				lanes, err := m.Filter(batch)
-				if err != nil {
-					return err
-				}
-				if len(lanes) > 0 && projErr == nil {
-					if proj != nil {
-						projErr = proj.emit(&rel.rows, batch, lanes, vals, tids, created, nUser)
-					} else {
-						// One slab per batch instead of one allocation
-						// per matched row.
-						w := nUser + 2
-						slab := make([]types.Value, len(lanes)*w)
-						for k, i := range lanes {
-							full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
-							copy(full, vals[i])
-							full[nUser] = types.NewInt(tids[i])
-							full[nUser+1] = types.NewInt(created[i])
-							rel.rows = append(rel.rows, full)
-						}
-					}
-				}
-				e.countVM(batch.Len())
-				vals, tids, created = vals[:0], tids[:0], created[:0]
-				return nil
-			}
-			scanned := 0
-			for it := tbl.Iterate(ctx.snap); ; {
-				sr, more := it.Next()
-				if !more {
-					break
-				}
-				scanned++
-				vals = append(vals, sr.Values)
-				tids = append(tids, sr.TID)
-				created = append(created, sr.Created)
-				if len(vals) == vm.BatchSize {
-					if err := flush(); err != nil {
-						return nil, false, err
-					}
-				}
-			}
-			if err := flush(); err != nil {
-				return nil, false, err
-			}
-			if projErr != nil {
-				return nil, false, projErr
-			}
-			e.countScanned(ctx, scanned)
 			if proj != nil {
 				cols := make([]colMeta, len(proj.names))
 				for i, n := range proj.names {

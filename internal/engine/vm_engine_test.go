@@ -133,6 +133,15 @@ func TestVMDifferentialStatements(t *testing.T) {
 		"SELECT a % 2, COUNT(*) FROM v WHERE a IS NOT NULL AND a != 0 GROUP BY a % 2",
 		"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) > 0",
 		"SELECT SUM(a + 1), SUM(f * 2.0) FROM v",
+		// DISTINCT folds: argument error, fold error, extrema, grouped,
+		// a HAVING that rejects the only erroring group, and DISTINCT
+		// beside merge-safe items.
+		"SELECT SUM(DISTINCT 10 / a) FROM v",
+		"SELECT SUM(DISTINCT s) FROM v",
+		"SELECT MIN(DISTINCT s), MAX(DISTINCT a) FROM v",
+		"SELECT s, COUNT(DISTINCT a), AVG(DISTINCT f) FROM v GROUP BY s",
+		"SELECT b, SUM(DISTINCT 10 / a) FROM v GROUP BY b HAVING b = FALSE",
+		"SELECT COUNT(DISTINCT a), SUM(a), MAX(f), COUNT(*) FROM v",
 		// ORDER BY / LIMIT on compiled scans.
 		"SELECT id FROM v WHERE a IS NOT NULL ORDER BY a DESC LIMIT 3",
 		"SELECT id, a FROM v ORDER BY id LIMIT 2 OFFSET 2",

@@ -65,6 +65,13 @@ func connect(db driver.Conn, user, table, listenAddr, advertiseHost string) (*Cl
 	go cl.acceptLoop(ready)
 
 	addr := ln.Addr().(*net.TCPAddr)
+	// Notifications already recorded for the table predate the
+	// registration: history the catch-up below must not ring for.
+	floor, _, err := latestNotification(db, table, 0)
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
 	id, err := db.NextID(database.TableConnectedUser)
 	if err != nil {
 		ln.Close()
@@ -91,7 +98,38 @@ func connect(db driver.Conn, user, table, listenAddr, advertiseHost string) (*Cl
 		ln.Close()
 		return nil, fmt.Errorf("notify: DBMS did not dial back within 5s")
 	}
+	// Catch up once past the registration: a commit that landed before
+	// the notifier published this connection got no NOTIFY line, but its
+	// Notification row is already recorded. One doorbell for the newest
+	// such row covers them all — consumers re-read past last_seq.
+	seq, op, err := latestNotification(db, table, floor)
+	if err != nil {
+		cl.Close()
+		return nil, err
+	}
+	if seq > floor {
+		select {
+		case cl.C <- Message{Verb: MsgNotify, Table: table, Seq: seq, Op: op}:
+		default: // full of newer doorbells already
+		}
+	}
 	return cl, nil
+}
+
+// latestNotification returns the seq_no and op of the newest
+// Notification row for table past seq, or seq itself when there is none.
+func latestNotification(db driver.Conn, table string, seq int64) (int64, string, error) {
+	res, err := db.Query(
+		"SELECT seq_no, op FROM "+database.TableNotification+
+			" WHERE tbl = ? AND seq_no > ? ORDER BY seq_no DESC LIMIT 1",
+		types.NewString(table), types.NewInt(seq))
+	if err != nil {
+		return seq, "", fmt.Errorf("notify: read latest notification: %w", err)
+	}
+	if len(res.Rows) == 0 {
+		return seq, "", nil
+	}
+	return res.Rows[0][0].Int(), res.Rows[0][1].Str(), nil
 }
 
 func (cl *Client) acceptLoop(ready chan<- error) {

@@ -449,18 +449,12 @@ func (n *Notifier) dialBack(id int64, host string, port int64, table string) err
 		c.Close()
 		return fmt.Errorf("notify: expected HELLO, got %q", line)
 	}
+	// Publish the connection before REPLY: the client's Connect returns
+	// as soon as it reads REPLY, and a commit after that must find the
+	// connection in n.conns or its NOTIFY is lost. Lines queued before
+	// the REPLY is flushed wait in sc.out — the writer starts only after
+	// the flush, so they follow the REPLY on the wire.
 	w := bufio.NewWriter(c)
-	c.SetWriteDeadline(time.Now().Add(n.writeTimeout))
-	if _, err := w.WriteString(Message{Verb: MsgReply}.Format() + "\n"); err != nil {
-		c.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		c.Close()
-		return err
-	}
-	c.SetReadDeadline(time.Time{})
-	c.SetWriteDeadline(time.Time{})
 	sc := &serverConn{id: id, table: table, c: c, w: w,
 		out: make(chan string, sendQueueLen), done: make(chan struct{})}
 	n.mu.Lock()
@@ -480,6 +474,22 @@ func (n *Notifier) dialBack(id int64, host string, port int64, table string) err
 	if old != nil {
 		old.teardown()
 	}
+	c.SetWriteDeadline(time.Now().Add(n.writeTimeout))
+	_, err = w.WriteString(Message{Verb: MsgReply}.Format() + "\n")
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		n.mu.Lock()
+		if n.conns[id] == sc {
+			delete(n.conns, id)
+		}
+		n.mu.Unlock()
+		sc.teardown()
+		return err
+	}
+	c.SetReadDeadline(time.Time{})
+	c.SetWriteDeadline(time.Time{})
 	n.mDials.Inc()
 	n.wg.Add(1)
 	go n.writeLoop(sc)
