@@ -224,6 +224,13 @@ func (c *Catalog) AddIndex(ix *Index) error {
 	return nil
 }
 
+// DropIndex removes an index; it is a no-op when the name is unknown.
+func (c *Catalog) DropIndex(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.indexes, key(name))
+}
+
 // Index looks up an index by name.
 func (c *Catalog) Index(name string) (*Index, bool) {
 	c.mu.RLock()

@@ -32,6 +32,10 @@ const (
 	TableVisualAttributes = "ef_visual_attributes"
 )
 
+// IndexVisualAttributes is the system schema's secondary index on
+// ef_visual_attributes (obj_id, comp_id).
+const IndexVisualAttributes = "ef_visual_attributes_obj"
+
 // Instance status values (§IV-A).
 const (
 	StatusNotStarted = "not_started"
@@ -50,8 +54,9 @@ type DB struct {
 	nextIDs map[string]int64 // lower-cased table → next id to hand out
 }
 
-// schemaDDL is executed on every open; CREATE TABLE IF NOT EXISTS makes it
-// idempotent across restarts.
+// schemaDDL is executed on every open; IF NOT EXISTS makes it idempotent
+// across restarts, and a database created before an index was declared
+// here gets it built at its next open.
 var schemaDDL = []string{
 	`CREATE TABLE IF NOT EXISTS ` + TableProcess + ` (
 		name STRING PRIMARY KEY,
@@ -115,6 +120,11 @@ var schemaDDL = []string{
 		color STRING,
 		label STRING,
 		selected BOOL)`,
+	// Every per-object visual-attribute write (vis.Component's UPDATE and
+	// DELETE ... WHERE obj_id = ? AND comp_id = ?) is a point lookup on
+	// this index instead of a scan of every component's objects. It is
+	// non-unique: nothing forbids two rows for one object.
+	`CREATE INDEX IF NOT EXISTS ` + IndexVisualAttributes + ` ON ` + TableVisualAttributes + ` (obj_id, comp_id)`,
 }
 
 // Open opens (or creates) an EdiFlow database with default durability

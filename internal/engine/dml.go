@@ -50,10 +50,14 @@ func (e *Engine) execDropTable(s *sqltext.DropTable) (*Result, []ChangeEvent, er
 }
 
 func (e *Engine) execCreateIndex(s *sqltext.CreateIndex) (*Result, []ChangeEvent, error) {
+	if _, exists := e.cat.Index(s.Name); exists && s.IfNotExists {
+		return &Result{}, nil, nil
+	}
 	if err := e.cat.AddIndex(&catalog.Index{Name: s.Name, Table: s.Table, Columns: s.Columns, Unique: s.Unique}); err != nil {
 		return nil, nil, err
 	}
 	if err := e.store.AddIndex(s.Name, s.Table, s.Columns, s.Unique); err != nil {
+		e.cat.DropIndex(s.Name)
 		return nil, nil, err
 	}
 	return &Result{}, nil, nil

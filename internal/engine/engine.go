@@ -218,7 +218,6 @@ type virtualTable struct {
 // the store's tables and metadata.
 func New(store *storage.Store) (*Engine, error) {
 	e := &Engine{
-		cat:           catalog.New(),
 		store:         store,
 		handlers:      map[string]TriggerFunc{},
 		batchHandlers: map[string]BatchTriggerFunc{},
@@ -248,32 +247,50 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mParWorkers = e.reg.Counter("vm.parallel_workers")
 	e.registerSystemTables()
 	e.views = newViewSet(e)
-	for _, name := range store.TableNames() {
-		t := store.Table(name)
-		if err := e.cat.AddTable(t.Schema); err != nil {
-			return nil, err
-		}
-	}
-	// Re-register persisted views and triggers by re-parsing their DDL.
-	for _, m := range store.Metas() {
-		st, err := sqltext.Parse(m.Text)
-		if err != nil {
-			return nil, fmt.Errorf("engine: bad stored DDL %q: %w", m.Text, err)
-		}
-		switch d := st.(type) {
-		case *sqltext.CreateView:
-			if err := e.restoreView(d); err != nil {
-				return nil, err
-			}
-		case *sqltext.CreateTrigger:
-			if err := e.cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler}); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("engine: unexpected stored DDL %q", m.Text)
-		}
+	if err := e.loadCatalog(e.restoreMeta); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// loadCatalog replaces the catalog with one rebuilt from the store: its
+// tables, its secondary indexes, then its view and trigger DDL through
+// registerMeta. Open and replica resync both use it, so the catalog
+// knows every object storage restored.
+func (e *Engine) loadCatalog(registerMeta func(text string) error) error {
+	e.cat = catalog.New()
+	for _, name := range e.store.TableNames() {
+		if err := e.cat.AddTable(e.store.Table(name).Schema); err != nil {
+			return err
+		}
+	}
+	for _, ix := range e.store.Indexes() {
+		if err := e.cat.AddIndex(&catalog.Index{Name: ix.Name, Table: ix.Table, Columns: ix.Columns, Unique: ix.Unique}); err != nil {
+			return err
+		}
+	}
+	for _, m := range e.store.Metas() {
+		if err := registerMeta(m.Text); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreMeta re-registers a persisted view or trigger on open by
+// re-parsing its DDL.
+func (e *Engine) restoreMeta(text string) error {
+	st, err := sqltext.Parse(text)
+	if err != nil {
+		return fmt.Errorf("engine: bad stored DDL %q: %w", text, err)
+	}
+	switch d := st.(type) {
+	case *sqltext.CreateView:
+		return e.restoreView(d)
+	case *sqltext.CreateTrigger:
+		return e.cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler})
+	}
+	return fmt.Errorf("engine: unexpected stored DDL %q", text)
 }
 
 // Catalog exposes the metadata (read-only use).

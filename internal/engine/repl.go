@@ -174,16 +174,8 @@ func (e *Engine) ApplyReplSnapshot(data []byte, preserve ...string) error {
 	if err := e.store.ResetFromSnapshot(data, preserve...); err != nil {
 		return err
 	}
-	e.cat = catalog.New()
-	for _, name := range e.store.TableNames() {
-		if err := e.cat.AddTable(e.store.Table(name).Schema); err != nil {
-			return err
-		}
-	}
-	for _, m := range e.store.Metas() {
-		if err := e.registerReplicatedMeta(m.Text); err != nil {
-			return err
-		}
+	if err := e.loadCatalog(e.registerReplicatedMeta); err != nil {
+		return err
 	}
 	e.views = newViewSet(e)
 	e.plans.purge()

@@ -44,7 +44,9 @@ func (e *Engine) lookupVirtual(name string) *virtualTable {
 }
 
 // SysMetricsColumns is the schema of sys_metrics. Counter and gauge rows
-// carry NULL latency columns; histogram rows carry NULL in none.
+// carry NULL latency columns; histogram rows carry NULL in none. Value
+// histogram rows (kind "values") carry plain values, not milliseconds,
+// in the same columns.
 var SysMetricsColumns = []string{
 	"name", "kind", "count", "sum_ms", "avg_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms",
 }
@@ -73,6 +75,15 @@ func (e *Engine) registerSystemTables() {
 				rows = append(rows, types.Row{
 					types.NewString(s.Name), types.NewString(s.Kind), types.NewInt(h.Count),
 					msVal(h.Sum), msVal(h.Avg()), msVal(h.P50), msVal(h.P95), msVal(h.P99), msVal(h.Max),
+				})
+				continue
+			}
+			if s.Kind == "values" {
+				v := s.Values
+				rows = append(rows, types.Row{
+					types.NewString(s.Name), types.NewString(s.Kind), types.NewInt(v.Count),
+					types.NewFloat(float64(v.Sum)), types.NewFloat(v.Avg()), types.NewFloat(float64(v.P50)),
+					types.NewFloat(float64(v.P95)), types.NewFloat(float64(v.P99)), types.NewFloat(float64(v.Max)),
 				})
 				continue
 			}

@@ -46,6 +46,13 @@ func TestSysMetricsTable(t *testing.T) {
 	if n, _ := res.Rows[0][0].AsInt(); n < 4 {
 		t.Fatalf("%d wal.* rows, want ≥ 4", n)
 	}
+
+	// Value histograms read as plain counts in the same columns.
+	e.Metrics().ValueHistogram("wal.group_commit_size").Observe(3)
+	res = mustExec(t, e, "SELECT kind, count, sum_ms, max_ms FROM sys_metrics WHERE name = 'wal.group_commit_size'")
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "values" || res.Rows[0][2].Float() != 3 || res.Rows[0][3].Float() != 3 {
+		t.Fatalf("wal.group_commit_size row = %v", res.Rows)
+	}
 }
 
 func TestSysSlowQueriesTable(t *testing.T) {

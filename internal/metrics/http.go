@@ -20,6 +20,10 @@ func Handler(r *Registry, slow *SlowLog) http.Handler {
 				fmt.Fprintf(w, "%s count=%d sum_ms=%.3f avg_ms=%.3f p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f max_ms=%.3f\n",
 					s.Name, s.Count,
 					ms(s.Hist.Sum), ms(s.Hist.Avg()), ms(s.Hist.P50), ms(s.Hist.P95), ms(s.Hist.P99), ms(s.Hist.Max))
+			case "values":
+				v := s.Values
+				fmt.Fprintf(w, "%s count=%d sum=%d avg=%.3f p50=%d p95=%d p99=%d max=%d\n",
+					s.Name, s.Count, v.Sum, v.Avg(), v.P50, v.P95, v.P99, v.Max)
 			default:
 				fmt.Fprintf(w, "%s %d\n", s.Name, s.Count)
 			}

@@ -2,7 +2,7 @@
 // EdiFlow DBMS. Every layer of the stack — the SQL engine, the WAL, the
 // network server, the client driver, the notifier and the table-sync
 // mirrors — records into a Registry of atomic counters, bucketed latency
-// histograms and callback gauges.
+// and value histograms and callback gauges.
 //
 // The design constraints, in order:
 //
@@ -51,49 +51,94 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// numBuckets covers latencies from 1µs up to ~8.6s in powers of two;
-// everything slower lands in the overflow bucket.
+// numBuckets covers 1 to 2^23 units in powers of two; everything larger
+// lands in the overflow bucket.
 const numBuckets = 24
 
-// bucketBound returns the inclusive upper bound (in nanoseconds) of
-// bucket i: 1µs, 2µs, 4µs, … 2^23 µs (~8.4s).
-func bucketBound(i int) int64 { return int64(1000) << uint(i) }
+// latencyUnit is the bound of a latency histogram's first bucket: 1µs
+// in nanoseconds, so bucket bounds run 1µs, 2µs, … 2^23 µs (~8.4s).
+const latencyUnit = 1000
 
-// Histogram is a fixed-bucket latency histogram. Buckets are exponential
-// in nanoseconds; Observe is lock-free (three atomic adds).
-type Histogram struct {
+// hist is the lock-free core both histogram kinds share: exponential
+// buckets whose bound i is unit<<i. An observation is three atomic adds
+// plus a max CAS.
+type hist struct {
 	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-	max     atomic.Int64 // nanoseconds
+	sum     atomic.Int64
+	max     atomic.Int64
 	buckets [numBuckets + 1]atomic.Int64
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+func (h *hist) observe(v, unit int64) {
+	if v < 0 {
+		v = 0
 	}
 	h.count.Add(1)
-	h.sum.Add(ns)
+	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
-	// Index of the first bucket whose bound covers ns.
+	// Index of the first bucket whose bound covers v.
 	i := 0
-	for i < numBuckets && ns > bucketBound(i) {
+	for i < numBuckets && v > unit<<uint(i) {
 		i++
 	}
 	h.buckets[i].Add(1)
 }
 
-// HistogramStat is a point-in-time summary of a histogram.
+// stat summarizes the histogram. Quantiles are approximated by the upper
+// bound of the bucket containing the quantile rank (so they are
+// conservative: the true quantile is at most the reported value).
+func (h *hist) stat(unit int64) ValueStat {
+	var counts [numBuckets + 1]int64
+	total := int64(0)
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
+	}
+	st := ValueStat{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
+	q := func(p float64) int64 {
+		if total == 0 {
+			return 0
+		}
+		rank := int64(p * float64(total))
+		if rank >= total {
+			rank = total - 1
+		}
+		seen := int64(0)
+		for i, c := range counts {
+			seen += c
+			if seen > rank {
+				if i >= numBuckets {
+					return st.Max
+				}
+				return unit << uint(i)
+			}
+		}
+		return st.Max
+	}
+	st.P50 = q(0.50)
+	st.P95 = q(0.95)
+	st.P99 = q(0.99)
+	return st
+}
+
+// Histogram is a fixed-bucket latency histogram, exponential in
+// nanoseconds from 1µs.
+type Histogram struct{ h hist }
+
+// Observe records one duration; negative durations count as zero.
+func (h *Histogram) Observe(d time.Duration) {
+	if h == nil {
+		return
+	}
+	h.h.observe(int64(d), latencyUnit)
+}
+
+// HistogramStat is a point-in-time summary of a latency histogram.
 type HistogramStat struct {
 	Count int64
 	Sum   time.Duration
@@ -111,58 +156,62 @@ func (s HistogramStat) Avg() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Stat summarizes the histogram. Quantiles are approximated by the upper
-// bound of the bucket containing the quantile rank (so they are
-// conservative: the true quantile is at most the reported value).
+// Stat summarizes the histogram.
 func (h *Histogram) Stat() HistogramStat {
-	var counts [numBuckets + 1]int64
-	total := int64(0)
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
+	v := h.h.stat(latencyUnit)
+	return HistogramStat{
+		Count: v.Count,
+		Sum:   time.Duration(v.Sum),
+		Max:   time.Duration(v.Max),
+		P50:   time.Duration(v.P50),
+		P95:   time.Duration(v.P95),
+		P99:   time.Duration(v.P99),
 	}
-	st := HistogramStat{
-		Count: h.count.Load(),
-		Sum:   time.Duration(h.sum.Load()),
-		Max:   time.Duration(h.max.Load()),
-	}
-	q := func(p float64) time.Duration {
-		if total == 0 {
-			return 0
-		}
-		rank := int64(p * float64(total))
-		if rank >= total {
-			rank = total - 1
-		}
-		seen := int64(0)
-		for i, c := range counts {
-			seen += c
-			if seen > rank {
-				if i >= numBuckets {
-					return st.Max
-				}
-				return time.Duration(bucketBound(i))
-			}
-		}
-		return st.Max
-	}
-	st.P50 = q(0.50)
-	st.P95 = q(0.95)
-	st.P99 = q(0.99)
-	return st
 }
 
-// Sample is one row of a registry snapshot: either a counter/gauge value
-// or a histogram summary, distinguished by Kind.
+// ValueHistogram is a fixed-bucket histogram of plain counts (commits
+// per group, rows per batch), with bucket bounds 1, 2, 4, … 2^23.
+type ValueHistogram struct{ h hist }
+
+// Observe records one value; negative values count as zero.
+func (h *ValueHistogram) Observe(n int64) {
+	if h == nil {
+		return
+	}
+	h.h.observe(n, 1)
+}
+
+// Stat summarizes the histogram.
+func (h *ValueHistogram) Stat() ValueStat { return h.h.stat(1) }
+
+// ValueStat is a point-in-time summary of a value histogram.
+type ValueStat struct {
+	Count, Sum, Max, P50, P95, P99 int64
+}
+
+// Avg returns the mean observation, or 0 with no observations.
+func (s ValueStat) Avg() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(s.Count)
+}
+
+// Sample is one row of a registry snapshot: a counter/gauge value, a
+// latency histogram summary or a value histogram summary, distinguished
+// by Kind.
 type Sample struct {
 	Name string
-	Kind string // "counter", "gauge" or "histogram"
+	Kind string // "counter", "gauge", "histogram" or "values"
 
 	// Counter / gauge value; for histograms, the observation count.
 	Count int64
 
-	// Histogram-only fields (zero for counters and gauges).
+	// Latency-histogram-only fields (zero for every other kind).
 	Hist HistogramStat
+
+	// Value-histogram-only fields (zero for every other kind).
+	Values ValueStat
 }
 
 // Registry is a named set of metrics. The zero value is NOT usable; use
@@ -173,6 +222,7 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
+	values   map[string]*ValueHistogram
 	gauges   map[string]func() int64
 }
 
@@ -181,6 +231,7 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		counters: map[string]*Counter{},
 		hists:    map[string]*Histogram{},
+		values:   map[string]*ValueHistogram{},
 		gauges:   map[string]func() int64{},
 	}
 	r.enabled.Store(true)
@@ -210,41 +261,44 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return lookup(r, r.counters, name)
 }
 
-// Histogram returns the named histogram, creating it on first use.
+// Histogram returns the named latency histogram, creating it on first
+// use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return lookup(r, r.hists, name)
+}
+
+// ValueHistogram returns the named value histogram, creating it on first
+// use.
+func (r *Registry) ValueHistogram(name string) *ValueHistogram {
+	if r == nil {
+		return nil
+	}
+	return lookup(r, r.values, name)
+}
+
+// lookup returns m[name], creating it under the registry lock on first
+// use.
+func lookup[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return h
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	if v, ok := m[name]; ok {
+		return v
 	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	v = new(T)
+	m[name] = v
+	return v
 }
 
 // RegisterGauge installs (or replaces) a gauge computed at snapshot time
@@ -265,13 +319,17 @@ func (r *Registry) Snapshot() []Sample {
 		return nil
 	}
 	r.mu.RLock()
-	out := make([]Sample, 0, len(r.counters)+len(r.hists)+len(r.gauges))
+	out := make([]Sample, 0, len(r.counters)+len(r.hists)+len(r.values)+len(r.gauges))
 	for name, c := range r.counters {
 		out = append(out, Sample{Name: name, Kind: "counter", Count: c.Value()})
 	}
 	for name, h := range r.hists {
 		st := h.Stat()
 		out = append(out, Sample{Name: name, Kind: "histogram", Count: st.Count, Hist: st})
+	}
+	for name, h := range r.values {
+		st := h.Stat()
+		out = append(out, Sample{Name: name, Kind: "values", Count: st.Count, Values: st})
 	}
 	gauges := make(map[string]func() int64, len(r.gauges))
 	for name, fn := range r.gauges {

@@ -67,6 +67,39 @@ func TestHistogramStats(t *testing.T) {
 	}
 }
 
+func TestValueHistogramStats(t *testing.T) {
+	r := NewRegistry()
+	h := r.ValueHistogram("sizes")
+	if r.ValueHistogram("sizes") != h {
+		t.Fatal("ValueHistogram is not stable per name")
+	}
+	for _, n := range []int64{1, 1, 1, 3, 8, 8, 100, -4} {
+		h.Observe(n)
+	}
+	st := h.Stat()
+	if st.Count != 8 || st.Sum != 122 || st.Max != 100 {
+		t.Fatalf("stat = %+v, want count 8, sum 122 (negative clamps to 0), max 100", st)
+	}
+	// Bounds are counts, not nanoseconds: the median 3 lands in the
+	// (2, 4] bucket and the p99 in the bucket holding 100.
+	if st.P50 != 4 || st.P99 != 128 {
+		t.Fatalf("p50 = %d, p99 = %d; want 4 and 128", st.P50, st.P99)
+	}
+	if st.Avg() != 122.0/8 {
+		t.Fatalf("avg = %v", st.Avg())
+	}
+	var nh *ValueHistogram
+	nh.Observe(1)
+	var nr *Registry
+	if nr.ValueHistogram("x") != nil {
+		t.Fatal("nil registry must be inert")
+	}
+	snap := r.Snapshot()
+	if len(snap) != 1 || snap[0].Kind != "values" || snap[0].Count != 8 || snap[0].Values != st {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	h := &Histogram{}
 	var wg sync.WaitGroup
@@ -194,12 +227,13 @@ func TestHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("wal.bytes").Add(123)
 	r.Histogram("engine.exec").Observe(2 * time.Millisecond)
+	r.ValueHistogram("wal.group_commit_size").Observe(5)
 	l := NewSlowLog(4, 0)
 	l.Record("SELECT 1", 3*time.Millisecond, 10, 1, "")
 	rec := httptest.NewRecorder()
 	Handler(r, l).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	for _, want := range []string{"wal.bytes 123", "engine.exec count=1", "slowlog seq=1", `sql="SELECT 1"`} {
+	for _, want := range []string{"wal.bytes 123", "engine.exec count=1", "wal.group_commit_size count=1 sum=5", "slowlog seq=1", `sql="SELECT 1"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("handler output missing %q:\n%s", want, body)
 		}

@@ -336,6 +336,62 @@ func TestSnapshotResyncAfterCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSnapshotResyncRestoresIndexes: after a snapshot resync the
+// replica's catalog holds the primary's secondary indexes (the user's
+// and the system schema's), and its planner uses them.
+func TestSnapshotResyncRestoresIndexes(t *testing.T) {
+	pdb, srv := startPrimary(t, nil)
+	gate := &gateDialer{}
+	rdb, rep := startReplica(t, srv.Addr(), func(c *ReplicaConfig) { c.Dialer = gate.dial })
+
+	if _, err := pdb.Exec("CREATE TABLE t (id INT PRIMARY KEY, tag STRING)"); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, pdb, rep)
+	resyncs0, err := rdb.QueryInt("SELECT resyncs FROM sys_replication")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.sever()
+	if _, err := pdb.Exec("CREATE INDEX t_tag ON t (tag)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Exec("INSERT INTO t (id, tag) VALUES (1, 'a')"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pdb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdb.Exec("INSERT INTO t (id, tag) VALUES (2, 'b')"); err != nil {
+		t.Fatal(err)
+	}
+	gate.open()
+	waitApplied(t, pdb, rep)
+	waitInt(t, rdb, "SELECT resyncs FROM sys_replication",
+		func(v int64) bool { return v > resyncs0 })
+
+	for _, tc := range []struct{ index, explain, want string }{
+		{"t_tag", "EXPLAIN SELECT id FROM t WHERE tag = 'b'", "scan t: index(t_tag)"},
+		{database.IndexVisualAttributes,
+			"EXPLAIN DELETE FROM " + database.TableVisualAttributes + " WHERE obj_id = 1 AND comp_id = 1",
+			"delete " + database.TableVisualAttributes + ": index(" + database.IndexVisualAttributes + ")"},
+	} {
+		if _, ok := rdb.Catalog().Index(tc.index); !ok {
+			t.Errorf("replica catalog lost index %s after resync", tc.index)
+		}
+		res, err := rdb.Exec(tc.explain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 || res.Rows[0][0].Str() != tc.want {
+			t.Errorf("%s on the replica = %v, want %q", tc.explain, res.Rows, tc.want)
+		}
+	}
+	if n, err := rdb.QueryInt("SELECT id FROM t WHERE tag = 'b'"); err != nil || n != 2 {
+		t.Fatalf("indexed read on the replica = %d, %v", n, err)
+	}
+}
+
 // TestLargeSnapshotChunking: a snapshot bigger than one wire frame
 // (16 MB) must ship as multiple FrameSnapshot chunks and reassemble.
 func TestLargeSnapshotChunking(t *testing.T) {

@@ -259,22 +259,30 @@ func (p *Parser) parseCreate() (Statement, error) {
 	return nil, p.errorf("expected TABLE, INDEX, VIEW or TRIGGER after CREATE")
 }
 
+// acceptIfNotExists consumes an optional IF NOT EXISTS clause.
+func (p *Parser) acceptIfNotExists() (bool, error) {
+	if ok, err := p.acceptKeyword("IF"); err != nil || !ok {
+		return false, err
+	}
+	if err := p.expectKeyword("NOT"); err != nil {
+		return false, err
+	}
+	if err := p.expectKeyword("EXISTS"); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
 func (p *Parser) parseCreateTable() (Statement, error) {
 	if err := p.expectKeyword("TABLE"); err != nil {
 		return nil, err
 	}
 	st := &CreateTable{}
-	if ok, err := p.acceptKeyword("IF"); err != nil {
+	ine, err := p.acceptIfNotExists()
+	if err != nil {
 		return nil, err
-	} else if ok {
-		if err := p.expectKeyword("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfNotExists = true
 	}
+	st.IfNotExists = ine
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -367,7 +375,11 @@ func (p *Parser) parseCreateIndex(unique bool) (Statement, error) {
 	if err := p.expectKeyword("INDEX"); err != nil {
 		return nil, err
 	}
-	st := &CreateIndex{Unique: unique}
+	ine, err := p.acceptIfNotExists()
+	if err != nil {
+		return nil, err
+	}
+	st := &CreateIndex{Unique: unique, IfNotExists: ine}
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err

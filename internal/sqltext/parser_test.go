@@ -281,8 +281,18 @@ func TestParseViewTriggerIndex(t *testing.T) {
 		t.Fatalf("%+v", tr)
 	}
 	ix := mustParse(t, "CREATE UNIQUE INDEX i ON t (a, b)").(*CreateIndex)
-	if !ix.Unique || len(ix.Columns) != 2 {
+	if !ix.Unique || ix.IfNotExists || len(ix.Columns) != 2 {
 		t.Fatalf("%+v", ix)
+	}
+	ix = mustParse(t, "create unique index if not exists i on t (a)").(*CreateIndex)
+	if !ix.Unique || !ix.IfNotExists || ix.Name != "i" || ix.Table != "t" || len(ix.Columns) != 1 {
+		t.Fatalf("%+v", ix)
+	}
+	if got, want := ix.String(), "CREATE UNIQUE INDEX IF NOT EXISTS i ON t (a)"; got != want {
+		t.Fatalf("printed %q, want %q", got, want)
+	}
+	if _, err := Parse("CREATE INDEX IF EXISTS i ON t (a)"); err == nil {
+		t.Fatal("CREATE INDEX IF EXISTS accepted")
 	}
 }
 
@@ -371,6 +381,10 @@ func TestPrintParseRoundTrip(t *testing.T) {
 		"UPDATE t SET a = a + 1 WHERE b IS NOT NULL",
 		"DELETE FROM t WHERE a IN (1, 2)",
 		"CREATE TABLE t (a INT PRIMARY KEY, b STRING)",
+		"CREATE TABLE IF NOT EXISTS t (a INT)",
+		"CREATE INDEX i ON t (a, b)",
+		"CREATE INDEX IF NOT EXISTS i ON t (a, b)",
+		"CREATE UNIQUE INDEX IF NOT EXISTS i ON t (a)",
 		"CREATE MATERIALIZED VIEW v AS SELECT a FROM t",
 		"CREATE TRIGGER g AFTER DELETE ON t CALL 'h'",
 		"SELECT (SELECT COUNT(*) FROM u) AS total FROM t",

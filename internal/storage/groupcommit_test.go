@@ -90,7 +90,7 @@ func TestGroupCommitSharedFsyncAcksAll(t *testing.T) {
 	fsyncs0 := s.reg.Counter("wal.fsyncs").Value()
 	commits0 := s.reg.Counter("wal.commits").Value()
 	groups0 := s.reg.Counter("wal.group_commits").Value()
-	sizeObs0 := s.reg.Histogram("wal.group_commit_size").Stat().Count
+	size0 := s.reg.ValueHistogram("wal.group_commit_size").Stat()
 
 	outs := stallAndQueue(t, s, k)
 	s.cycleMu.Unlock()
@@ -109,8 +109,12 @@ func TestGroupCommitSharedFsyncAcksAll(t *testing.T) {
 	if got := s.reg.Counter("wal.group_commits").Value() - groups0; got != 1 {
 		t.Fatalf("wal.group_commits advanced by %d, want 1", got)
 	}
-	if got := s.reg.Histogram("wal.group_commit_size").Stat().Count - sizeObs0; got != 1 {
+	size := s.reg.ValueHistogram("wal.group_commit_size").Stat()
+	if got := size.Count - size0.Count; got != 1 {
 		t.Fatalf("wal.group_commit_size observations advanced by %d, want 1", got)
+	}
+	if got := size.Sum - size0.Sum; got != k {
+		t.Fatalf("wal.group_commit_size recorded a group of %d commits, want %d", got, k)
 	}
 
 	// Power loss after the acks: every acknowledged row must survive.

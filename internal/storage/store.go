@@ -82,7 +82,8 @@ type MetaEntry struct {
 	Text string // the original DDL statement
 }
 
-type indexDef struct {
+// IndexDef describes one persisted secondary index.
+type IndexDef struct {
 	Name    string
 	Table   string
 	Columns []string
@@ -109,7 +110,7 @@ type Store struct {
 	// contents have their own MVCC synchronization.
 	tablesMu sync.RWMutex
 	tables   map[string]*Table // lower-cased name → table
-	indexes  []indexDef
+	indexes  []IndexDef
 	metas    []MetaEntry
 
 	nextTID     atomic.Int64
@@ -157,9 +158,9 @@ type Store struct {
 	flushDone chan struct{}
 	cycleMu   sync.Mutex
 
-	walGroupCommits *metrics.Counter   // batches fsynced with ≥1 ticket
-	walCommits      *metrics.Counter   // tickets acked through the pipeline
-	walGroupSizeH   *metrics.Histogram // batch size, encoded as n µs
+	walGroupCommits *metrics.Counter        // batches fsynced with ≥1 ticket
+	walCommits      *metrics.Counter        // tickets acked through the pipeline
+	walGroupSizeH   *metrics.ValueHistogram // commits per group
 
 	// repl captures logged records for WAL-shipping replication (see
 	// replfeed.go). Disabled until EnableReplFeed.
@@ -203,7 +204,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	s.walFsyncH = s.reg.Histogram("wal.fsync_latency")
 	s.walGroupCommits = s.reg.Counter("wal.group_commits")
 	s.walCommits = s.reg.Counter("wal.commits")
-	s.walGroupSizeH = s.reg.Histogram("wal.group_commit_size")
+	s.walGroupSizeH = s.reg.ValueHistogram("wal.group_commit_size")
 	s.mvccVacuumed = s.reg.Counter("mvcc.vacuumed")
 	s.reg.RegisterGauge("mvcc.versions", s.versionCount)
 	s.reg.RegisterGauge("mvcc.snapshot_seq", s.SnapshotSeq)
@@ -596,12 +597,7 @@ func (s *Store) flushCycle() {
 	if len(batch) > 0 {
 		s.walGroupCommits.Inc()
 		s.walCommits.Add(int64(len(batch)))
-		if s.reg.Enabled() {
-			// Batch size rides the µs-granularity histogram: a batch of
-			// n commits is recorded as n µs, so the bucket bounds read
-			// directly as sizes 1, 2, 4, … commits.
-			s.walGroupSizeH.Observe(time.Duration(len(batch)) * time.Microsecond)
-		}
+		s.walGroupSizeH.Observe(int64(len(batch)))
 	}
 }
 
@@ -812,7 +808,7 @@ func (s *Store) AddIndex(name, table string, cols []string, unique bool) error {
 	if err := t.AddIndex(name, cols, unique); err != nil {
 		return err
 	}
-	s.indexes = append(s.indexes, indexDef{Name: name, Table: table, Columns: cols, Unique: unique})
+	s.indexes = append(s.indexes, IndexDef{Name: name, Table: table, Columns: cols, Unique: unique})
 	return s.log(table, encodeCreateIndex(name, table, unique, cols))
 }
 
@@ -848,6 +844,13 @@ func (s *Store) upsertMeta(kind, name, text string) {
 func (s *Store) Metas() []MetaEntry {
 	out := make([]MetaEntry, len(s.metas))
 	copy(out, s.metas)
+	return out
+}
+
+// Indexes returns the secondary index definitions, in creation order.
+func (s *Store) Indexes() []IndexDef {
+	out := make([]IndexDef, len(s.indexes))
+	copy(out, s.indexes)
 	return out
 }
 
@@ -977,7 +980,7 @@ func (s *Store) applyWAL(payload []byte) error {
 		if err := t.AddIndex(name, cols, unique); err != nil {
 			return err
 		}
-		s.indexes = append(s.indexes, indexDef{Name: name, Table: table, Columns: cols, Unique: unique})
+		s.indexes = append(s.indexes, IndexDef{Name: name, Table: table, Columns: cols, Unique: unique})
 		return nil
 	case opPutMeta:
 		kind, off, err := readString(body)
@@ -1230,7 +1233,7 @@ func (s *Store) loadSnapshotBytes(data []byte) error {
 		return fmt.Errorf("storage: bad snapshot indexes")
 	}
 	buf = buf[w:]
-	var pending []indexDef
+	var pending []IndexDef
 	for i := uint64(0); i < ni; i++ {
 		name, used, err := readString(buf)
 		if err != nil {
@@ -1261,7 +1264,7 @@ func (s *Store) loadSnapshotBytes(data []byte) error {
 			cols = append(cols, c)
 			buf = buf[used:]
 		}
-		pending = append(pending, indexDef{Name: name, Table: table, Columns: cols, Unique: unique})
+		pending = append(pending, IndexDef{Name: name, Table: table, Columns: cols, Unique: unique})
 	}
 	// Tables.
 	nt, w := binary.Uvarint(buf)

@@ -553,12 +553,17 @@ func (t *Table) indexRowLocked(tid int64, row types.Row) {
 	}
 }
 
+// key is types.RowKey of the row's index columns.
 func (ix *hashIndex) key(row types.Row) string {
-	sub := make(types.Row, len(ix.cols))
-	for i, c := range ix.cols {
-		sub[i] = row[c]
+	var buf [64]byte
+	return string(ix.appendKey(buf[:0], row))
+}
+
+func (ix *hashIndex) appendKey(dst []byte, row types.Row) []byte {
+	for _, c := range ix.cols {
+		dst = types.AppendRowKeyPart(dst, row[c])
 	}
-	return types.RowKey(sub)
+	return dst
 }
 
 // AddIndex builds a secondary hash index over the given columns,
@@ -628,8 +633,9 @@ func (t *Table) LookupIndexAt(name string, key types.Row, asOf int64) ([]int64, 
 	}
 	t.mu.RUnlock()
 	var out []int64
+	var buf [64]byte
 	for _, sl := range cands {
-		if v := visibleAt(sl.head.Load(), asOf); v != nil && ix.key(v.values) == k {
+		if v := visibleAt(sl.head.Load(), asOf); v != nil && string(ix.appendKey(buf[:0], v.values)) == k {
 			out = append(out, sl.tid)
 		}
 	}

@@ -11,7 +11,6 @@ package types
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -363,29 +362,37 @@ func Equal(a, b Value) bool {
 // HashKey returns a string usable as a map key such that Equal values have
 // equal keys (numeric 3 and 3.0 share a key).
 func (v Value) HashKey() string {
+	// A string's key is one concatenation, one allocation; the buffer
+	// would add a second for long strings.
+	if v.kind == KindString {
+		return "s" + v.s
+	}
+	var buf [32]byte
+	return string(v.AppendHashKey(buf[:0]))
+}
+
+// AppendHashKey appends v.HashKey() to dst.
+func (v Value) AppendHashKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, 0)
 	case KindBool:
 		if v.b {
-			return "b1"
+			return append(dst, "b1"...)
 		}
-		return "b0"
+		return append(dst, "b0"...)
 	case KindInt:
-		return "n" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), float64(v.i), 'g', -1, 64)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
-		}
-		return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), v.f, 'g', -1, 64)
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindTime:
-		return "t" + strconv.FormatInt(v.t.UnixNano(), 10)
+		return strconv.AppendInt(append(dst, 't'), v.t.UnixNano(), 10)
 	case KindBytes:
-		return "y" + string(v.raw)
+		return append(append(dst, 'y'), v.raw...)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // CoerceTo converts v to the target kind, or errors when no sensible
@@ -484,12 +491,19 @@ func RowsEqual(a, b Row) bool {
 
 // RowKey concatenates the hash keys of the row's values into a map key.
 func RowKey(r Row) string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, v := range r {
-		k := v.HashKey()
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
+		b = AppendRowKeyPart(b, v)
 	}
-	return sb.String()
+	return string(b)
+}
+
+// AppendRowKeyPart appends v's part of a RowKey: its hash key, prefixed
+// by the key's length.
+func AppendRowKeyPart(dst []byte, v Value) []byte {
+	var buf [32]byte
+	k := v.AppendHashKey(buf[:0])
+	dst = strconv.AppendInt(dst, int64(len(k)), 10)
+	return append(append(dst, ':'), k...)
 }

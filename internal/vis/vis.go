@@ -83,6 +83,16 @@ func (v *Visualization) Components() ([]*Component, error) {
 	return out, nil
 }
 
+// The per-object writes. Each names one object of one component, so the
+// system schema's (obj_id, comp_id) index turns it into a point lookup.
+const (
+	sqlSetAttributes = "UPDATE " + database.TableVisualAttributes +
+		" SET x = ?, y = ?, width = ?, height = ?, color = ?, label = ?, selected = ? WHERE obj_id = ? AND comp_id = ?"
+	sqlSetPositions     = "UPDATE " + database.TableVisualAttributes + " SET x = ?, y = ? WHERE obj_id = ? AND comp_id = ?"
+	sqlSelect           = "UPDATE " + database.TableVisualAttributes + " SET selected = ? WHERE obj_id = ? AND comp_id = ?"
+	sqlDeleteAttributes = "DELETE FROM " + database.TableVisualAttributes + " WHERE obj_id = ? AND comp_id = ?"
+)
+
 func attrArgs(objID int64, compID int64, a Attr) []types.Value {
 	return []types.Value{
 		types.NewInt(objID), types.NewInt(compID),
@@ -122,9 +132,7 @@ func (c *Component) InsertAttributes(attrs map[int64]Attr) error {
 // once regardless of the number of generated views."
 func (c *Component) SetAttributes(attrs map[int64]Attr) error {
 	for objID, a := range attrs {
-		res, err := c.db.Exec(
-			"UPDATE "+database.TableVisualAttributes+
-				" SET x = ?, y = ?, width = ?, height = ?, color = ?, label = ?, selected = ? WHERE obj_id = ? AND comp_id = ?",
+		res, err := c.db.Exec(sqlSetAttributes,
 			types.NewFloat(a.X), types.NewFloat(a.Y),
 			types.NewFloat(a.Width), types.NewFloat(a.Height),
 			types.NewString(a.Color), types.NewString(a.Label), types.NewBool(a.Selected),
@@ -146,8 +154,7 @@ func (c *Component) SetAttributes(attrs map[int64]Attr) error {
 // stops").
 func (c *Component) SetPositions(pos map[int64][2]float64) error {
 	for objID, p := range pos {
-		res, err := c.db.Exec(
-			"UPDATE "+database.TableVisualAttributes+" SET x = ?, y = ? WHERE obj_id = ? AND comp_id = ?",
+		res, err := c.db.Exec(sqlSetPositions,
 			types.NewFloat(p[0]), types.NewFloat(p[1]), types.NewInt(objID), types.NewInt(c.ID))
 		if err != nil {
 			return err
@@ -164,9 +171,7 @@ func (c *Component) SetPositions(pos map[int64][2]float64) error {
 // DeleteAttributes removes the attributes of objects that left the data.
 func (c *Component) DeleteAttributes(objIDs []int64) error {
 	for _, id := range objIDs {
-		if _, err := c.db.Exec(
-			"DELETE FROM "+database.TableVisualAttributes+" WHERE obj_id = ? AND comp_id = ?",
-			types.NewInt(id), types.NewInt(c.ID)); err != nil {
+		if _, err := c.db.Exec(sqlDeleteAttributes, types.NewInt(id), types.NewInt(c.ID)); err != nil {
 			return err
 		}
 	}
@@ -212,9 +217,7 @@ func (c *Component) Attributes() (map[int64]Attr, error) {
 // visualisation component ... typically triggers the recomputation of the
 // other components").
 func (c *Component) Select(objID int64, selected bool) error {
-	res, err := c.db.Exec(
-		"UPDATE "+database.TableVisualAttributes+" SET selected = ? WHERE obj_id = ? AND comp_id = ?",
-		types.NewBool(selected), types.NewInt(objID), types.NewInt(c.ID))
+	res, err := c.db.Exec(sqlSelect, types.NewBool(selected), types.NewInt(objID), types.NewInt(c.ID))
 	if err != nil {
 		return err
 	}
