@@ -1,10 +1,8 @@
 package ediflow
 
-// Compiled expression VM vs tree-walk interpreter on identical plans:
-// full-scan filtered SELECTs and aggregate scans at 10k and 100k rows.
-// The Interpreted variants run with SetCompiledEval(false), so the pair
-// isolates exactly the evaluation strategy. See internal/benchkit/vm.go
-// for the workloads and cmd/benchjson -suite vm for the JSON emitter.
+// Compiled expression VM workloads: full-scan filtered SELECTs and
+// aggregate scans at 10k and 100k rows. See internal/benchkit/vm.go for
+// the workloads and cmd/benchjson -suite vm for the JSON emitter.
 
 import (
 	"testing"
@@ -12,12 +10,8 @@ import (
 	"ediflow/internal/benchkit"
 )
 
-func BenchmarkVMScanInterpreted10k(b *testing.B)  { benchkit.VMScan(b, 10_000, false) }
-func BenchmarkVMScanCompiled10k(b *testing.B)     { benchkit.VMScan(b, 10_000, true) }
-func BenchmarkVMScanInterpreted100k(b *testing.B) { benchkit.VMScan(b, 100_000, false) }
-func BenchmarkVMScanCompiled100k(b *testing.B)    { benchkit.VMScan(b, 100_000, true) }
+func BenchmarkVMScanCompiled10k(b *testing.B)  { benchkit.VMScan(b, 10_000) }
+func BenchmarkVMScanCompiled100k(b *testing.B) { benchkit.VMScan(b, 100_000) }
 
-func BenchmarkVMAggregateInterpreted10k(b *testing.B)  { benchkit.VMAggregate(b, 10_000, false) }
-func BenchmarkVMAggregateCompiled10k(b *testing.B)     { benchkit.VMAggregate(b, 10_000, true) }
-func BenchmarkVMAggregateInterpreted100k(b *testing.B) { benchkit.VMAggregate(b, 100_000, false) }
-func BenchmarkVMAggregateCompiled100k(b *testing.B)    { benchkit.VMAggregate(b, 100_000, true) }
+func BenchmarkVMAggregateCompiled10k(b *testing.B)  { benchkit.VMAggregate(b, 10_000) }
+func BenchmarkVMAggregateCompiled100k(b *testing.B) { benchkit.VMAggregate(b, 100_000) }

@@ -20,9 +20,9 @@
 // suite is the 95/5 read/write MVCC workload — each session count is
 // run twice, with committers saturating the fsync pipeline and with an
 // idle writer, so read_p99_ms can be compared directly; the vm suite
-// is the full-scan filtered SELECT and aggregate workloads run twice,
-// interpreted (SetCompiledEval(false)) and through the compiled
-// expression VM, so the speedup ratio falls straight out of the JSON;
+// is the full-scan filtered SELECT and aggregate workloads through the
+// compiled expression VM (the interpreted twins of BENCH_8 are gone
+// with the interpreter);
 // the firehose suite is the §V reactive-ingestion latency/rate curve —
 // a rate ladder of paced event streams through trigger → IVM → delta
 // handler → NOTIFY, with a full-recompute divergence check at each
@@ -51,8 +51,7 @@ import (
 // deliveries one edit cost across all mirrors), the read-latency
 // percentiles for the mixed suite (SELECTs running lock-free on MVCC
 // snapshots while committers hold the write pipeline), or rows/matched
-// for the vm suite (table size and WHERE-qualifying rows — identical
-// between the interpreted and compiled runs by construction), or the
+// for the vm suite (table size and WHERE-qualifying rows), or the
 // target/achieved rate and propagation-latency percentiles for the
 // firehose suite (the latency/rate curve of the reactive pipeline).
 type Result struct {
@@ -195,19 +194,14 @@ func main() {
 			*out = "results/BENCH_8.json"
 		}
 		type spec struct {
-			name     string
-			run      func(b *testing.B) benchkit.VMStats
-			compiled bool
+			name string
+			run  func(b *testing.B) benchkit.VMStats
 		}
 		specs := []spec{
-			{"VMScanInterpreted10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 10_000, false) }, false},
-			{"VMScanCompiled10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 10_000, true) }, true},
-			{"VMScanInterpreted100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 100_000, false) }, false},
-			{"VMScanCompiled100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 100_000, true) }, true},
-			{"VMAggregateInterpreted10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 10_000, false) }, false},
-			{"VMAggregateCompiled10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 10_000, true) }, true},
-			{"VMAggregateInterpreted100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 100_000, false) }, false},
-			{"VMAggregateCompiled100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 100_000, true) }, true},
+			{"VMScanCompiled10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 10_000) }},
+			{"VMScanCompiled100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 100_000) }},
+			{"VMAggregateCompiled10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 10_000) }},
+			{"VMAggregateCompiled100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 100_000) }},
 		}
 		for _, sp := range specs {
 			var stats benchkit.VMStats

@@ -58,7 +58,6 @@ func parallelSetup(b *testing.B, rows, workers int) *database.DB {
 			b.Fatal(err)
 		}
 	}
-	db.SetCompiledEval(true)
 	db.SetParallelism(workers)
 	return db
 }

@@ -10,18 +10,16 @@ import (
 
 // VMStats summarizes one expression-VM benchmark run: the table size the
 // statements scanned and how many rows the last statement produced (a
-// cheap correctness anchor — compiled and interpreted runs of the same
-// workload must report the same Matched).
+// cheap correctness anchor across runs of the same workload).
 type VMStats struct {
 	Rows    int64
 	Matched int64
 }
 
 // vmSetup opens an in-memory database seeded with `rows` rows of mixed
-// int/float/string data and sets the evaluation mode. In-memory on
-// purpose: the VM benchmarks measure expression evaluation over a full
-// scan, not the commit pipeline.
-func vmSetup(b *testing.B, rows int, compiled bool) *database.DB {
+// int/float/string data. In-memory on purpose: the VM benchmarks measure
+// expression evaluation over a full scan, not the commit pipeline.
+func vmSetup(b *testing.B, rows int) *database.DB {
 	b.Helper()
 	db, err := database.Open("")
 	if err != nil {
@@ -51,17 +49,15 @@ func vmSetup(b *testing.B, rows int, compiled bool) *database.DB {
 	if _, err := db.Exec("COMMIT"); err != nil {
 		b.Fatal(err)
 	}
-	db.SetCompiledEval(compiled)
 	return db
 }
 
 // VMScan runs b.N full-scan filtered SELECTs — a multi-operator integer
-// predicate over every row, projecting one column — with the compiled
-// expression VM on or off. This is the tentpole workload: the same plan,
-// the same rows, only the evaluation strategy differs.
-func VMScan(b *testing.B, rows int, compiled bool) VMStats {
+// predicate over every row, projecting one column — through the
+// compiled expression VM.
+func VMScan(b *testing.B, rows int) VMStats {
 	b.Helper()
-	db := vmSetup(b, rows, compiled)
+	db := vmSetup(b, rows)
 	const q = "SELECT id FROM bench_vm WHERE (v * 3 + id) % 7 = 0 AND v < 900"
 	var matched int
 	b.ReportAllocs()
@@ -80,9 +76,9 @@ func VMScan(b *testing.B, rows int, compiled bool) VMStats {
 // VMAggregate runs b.N aggregate SELECTs whose filter and aggregate
 // arguments all flow through the batched path (no GROUP BY, so the
 // measurement isolates expression evaluation from group hashing).
-func VMAggregate(b *testing.B, rows int, compiled bool) VMStats {
+func VMAggregate(b *testing.B, rows int) VMStats {
 	b.Helper()
-	db := vmSetup(b, rows, compiled)
+	db := vmSetup(b, rows)
 	const q = "SELECT COUNT(*), SUM(v), AVG(v), MIN(w), MAX(w) FROM bench_vm WHERE v % 7 != 0"
 	var matched int
 	b.ReportAllocs()

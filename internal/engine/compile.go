@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -23,8 +24,7 @@ import (
 // function-registry changes purge the cache (and bump a generation so
 // in-flight EXPLAINs never resurrect a stale program).
 
-// progCache maps expression identity to its compiled program (nil =
-// known unlowerable, so fallback is decided once, not per execution).
+// progCache maps expression identity to its compiled program.
 type progCache struct {
 	mu  sync.Mutex
 	m   map[sqltext.Expr]*progEntry
@@ -32,8 +32,8 @@ type progCache struct {
 }
 
 type progEntry struct {
-	prog  *vm.Program // nil: expression does not lower
-	ncols int         // column-layout width the program was compiled for
+	prog  *vm.Program
+	ncols int // column-layout width the program was compiled for
 }
 
 func newProgCache(cap int) *progCache {
@@ -73,99 +73,84 @@ func (c *progCache) len() int {
 	return len(c.m)
 }
 
-// SetCompiledEval toggles the compiled expression VM. With it off every
-// statement uses the tree-walk interpreter — the benchmarks use this to
-// measure interpreted vs compiled on identical plans, and it is the
-// escape hatch if a VM bug ever ships.
-func (e *Engine) SetCompiledEval(on bool) { e.compiledEval.Store(on) }
-
-// vmOn reports whether compiled evaluation is enabled.
-func (e *Engine) vmOn() bool { return e.compiledEval.Load() }
-
-// vmEnv builds the compile environment for a relation layout: column
-// resolution mirroring binder.resolve (including ambiguity → not
-// lowerable), the scalar function registry, and the engine's exact
-// missing-parameter error.
-func (e *Engine) vmEnv(cols []colMeta) *vm.Env {
-	byQual := make(map[string]int, len(cols))
-	byName := make(map[string]int, len(cols))
-	ambiguous := map[string]bool{}
-	for i, c := range cols {
-		if c.qual != "" {
-			byQual[c.qual+"."+c.name] = i
-		}
-		if _, dup := byName[c.name]; dup {
-			ambiguous[c.name] = true
-		} else {
-			byName[c.name] = i
-		}
-	}
+// vmEnv builds the compile environment for a relation layout: columns
+// resolve through colIndex (built on first use), aggregate calls to the
+// relation's result columns.
+func (e *Engine) vmEnv(rel *relation) *vm.Env {
+	var ix *colIndex
 	return &vm.Env{
-		Resolve: func(table, column string) (int, bool) {
-			name := strings.ToLower(column)
-			if table != "" {
-				i, ok := byQual[strings.ToLower(table)+"."+name]
-				return i, ok
+		Resolve: func(table, column string) (int, error) {
+			if ix == nil {
+				ix = newColIndex(rel.cols)
 			}
-			if ambiguous[name] {
-				return 0, false
-			}
-			i, ok := byName[name]
-			return i, ok
+			return ix.resolve(table, column)
 		},
 		Func: e.vmFunc,
+		Aggregate: func(call *sqltext.FuncCall) (int, error) {
+			if col, ok := rel.aggs[call]; ok {
+				return col, nil
+			}
+			return 0, fmt.Errorf("engine: aggregate %s outside GROUP BY context", call.Name)
+		},
 		MissingParam: func(idx int) error {
 			return fmt.Errorf("engine: missing argument for parameter %d", idx+1)
 		},
+		ScalarRows: func(n int) error {
+			return fmt.Errorf("engine: scalar subquery returned %d rows", n)
+		},
+		InWidth: errInWidth,
 	}
 }
 
-// vmFunc resolves a scalar function for the compiler: builtins first
-// (matching callScalarFn's precedence), then user-registered functions.
-// The implementation is baked into the program, so RegisterFunc purges
-// compiled programs.
-func (e *Engine) vmFunc(name string) (vm.ScalarFunc, bool) {
+var errInWidth = errors.New("engine: IN subquery must return one column")
+
+// vmFunc resolves a scalar function for the compiler: builtins first,
+// then user-registered functions, else the unknown-function error.
+func (e *Engine) vmFunc(name string) vm.ScalarFunc {
 	if builtinScalars[name] {
 		return func(args []types.Value) (types.Value, error) {
 			return callScalar(name, args)
-		}, true
+		}
 	}
 	if fn := e.userFunc(name); fn != nil {
-		return vm.ScalarFunc(fn), true
+		return vm.ScalarFunc(fn)
 	}
-	return nil, false
+	return func([]types.Value) (types.Value, error) {
+		return types.Null, fmt.Errorf("engine: unknown function %s", name)
+	}
 }
 
-// compiledProg returns the cached compiled program for x over the given
-// layout, compiling on first sight. nil means "use the interpreter" —
-// either the VM is off or the expression does not lower (counted once
-// per expression in vm.fallback, never an error).
-func (e *Engine) compiledProg(x sqltext.Expr, cols []colMeta) *vm.Program {
-	if x == nil || !e.vmOn() {
-		return nil
-	}
+// compiledProg returns the compiled program for x over rel's layout,
+// cached by expression identity and compiled on first sight.
+func (e *Engine) compiledProg(x sqltext.Expr, rel *relation) *vm.Program {
 	if cr, ok := x.(*sqltext.ColumnRef); ok {
 		// Bare column refs (star expansions rebuild these per execution,
 		// so their pointers never repeat) compile to a single opCol —
 		// cheaper to recompile than to churn the cache.
-		p, err := vm.Compile(cr, e.vmEnv(cols))
-		if err != nil {
-			return nil
-		}
+		return vm.Compile(cr, e.vmEnv(rel))
+	}
+	if p, ok := e.progs.get(x, len(rel.cols)); ok {
 		return p
 	}
-	if p, ok := e.progs.get(x, len(cols)); ok {
-		return p
-	}
-	p, err := vm.Compile(x, e.vmEnv(cols))
-	if err != nil {
-		p = nil
-		e.mVMFallback.Inc()
-	} else {
-		e.mVMCompile.Inc()
-	}
-	e.progs.put(x, len(cols), p)
+	p := vm.Compile(x, e.vmEnv(rel))
+	e.mVMCompile.Inc()
+	e.progs.put(x, len(rel.cols), p)
 	return p
+}
+
+// evalCell evaluates x once with no row in scope (VALUES cells,
+// LIMIT/OFFSET): column references resolve against rel's layout and read
+// NULL. Literals and bound parameters are their own value, so the
+// common cells need no program at all.
+func (e *Engine) evalCell(x sqltext.Expr, rel *relation, b *binder) (types.Value, error) {
+	if v, ok := constVal(x, b.args); ok {
+		return v, nil
+	}
+	out, _, err := e.projectRows(nil, []projItem{{Expr: x}}, &relation{cols: rel.cols, rows: []types.Row{nil}}, b)
+	if err != nil {
+		return types.Null, err
+	}
+	return out[0][0], nil
 }
 
 // countVM charges one executed batch of n rows to the vm.* counters.
@@ -187,33 +172,55 @@ func batchKinds(cols []colMeta) []types.Kind {
 	return kinds
 }
 
-// runFilterRows applies a compiled predicate to in-memory rows in
-// batches and returns the kept rows — the vectorized twin of the
-// interpreter's evalBool refilter loop.
-func (e *Engine) runFilterRows(prog *vm.Program, cols []colMeta, rows []types.Row, args []types.Value) ([]types.Row, error) {
+// rowFilter runs one compiled predicate over in-memory rows a batch at
+// a time, reusing its machine and batch across calls.
+type rowFilter struct {
+	e     *Engine
+	m     *vm.Machine
+	batch *vm.Batch
+	sel   []int
+}
+
+func (e *Engine) newRowFilter(prog *vm.Program, rel *relation, b *binder) *rowFilter {
 	m := vm.NewMachine(prog)
-	m.Bind(args)
-	batch := vm.NewBatch(batchKinds(cols), prog.Cols())
-	kept := rows[:0:0]
+	m.Bind(b.args, b)
+	return &rowFilter{e: e, m: m, batch: vm.NewBatch(batchKinds(rel.cols), prog.Cols())}
+}
+
+// filter returns the ascending indexes of the rows the predicate
+// accepts (reused by the next call). The first erroring row in order
+// aborts, as a per-row filter loop would.
+func (f *rowFilter) filter(rows []types.Row) ([]int, error) {
+	f.sel = f.sel[:0]
 	for start := 0; start < len(rows); start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		batch.Reset()
-		for _, r := range rows[start:end] {
-			batch.Append(r)
-		}
-		sel, err := m.Filter(batch)
+		end := min(start+vm.BatchSize, len(rows))
+		f.batch.Fill(rows[start:end])
+		lanes, err := f.m.Filter(f.batch)
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range sel {
-			kept = append(kept, rows[start+i])
+		for _, i := range lanes {
+			f.sel = append(f.sel, start+i)
 		}
-		e.countVM(batch.Len())
+		f.e.countVM(end - start)
 	}
-	return kept, nil
+	return f.sel, nil
+}
+
+// refilter applies a WHERE the access path did not evaluate to the
+// already-materialized rows of rel (index-scan candidates, post-join
+// rows, IVM overrides).
+func (e *Engine) refilter(where sqltext.Expr, rel *relation, b *binder) error {
+	sel, err := e.newRowFilter(e.compiledProg(where, rel), rel, b).filter(rel.rows)
+	if err != nil {
+		return err
+	}
+	kept := make([]types.Row, len(sel))
+	for k, i := range sel {
+		kept[k] = rel.rows[i]
+	}
+	rel.rows = kept
+	return nil
 }
 
 // ScalarFunc is a user-registered scalar SQL function. Arguments are
@@ -243,17 +250,4 @@ func (e *Engine) userFunc(name string) ScalarFunc {
 	fn := e.udfs[name]
 	e.udfMu.RUnlock()
 	return fn
-}
-
-// callScalarFn dispatches a scalar function call: built-ins first, then
-// the user registry. Both the interpreter and the VM's compile-time
-// resolution (vmFunc) follow this exact precedence.
-func (e *Engine) callScalarFn(name string, args []types.Value) (types.Value, error) {
-	if builtinScalars[name] {
-		return callScalar(name, args)
-	}
-	if fn := e.userFunc(name); fn != nil {
-		return fn(args)
-	}
-	return types.Null, fmt.Errorf("engine: unknown function %s", name)
 }

@@ -119,11 +119,12 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 		}
 		sourceRows = res.Rows
 	} else {
-		b := newBinder(e, args, nil, nil, e.writerCtx())
+		b := newBinder(e, args, nil, e.writerCtx())
+		noCols := &relation{}
 		for _, exprRow := range s.Rows {
 			row := make(types.Row, len(exprRow))
 			for i, ex := range exprRow {
-				v, err := b.eval(ex, nil)
+				v, err := e.evalCell(ex, noCols, b)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -175,23 +176,22 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 
 // matchTable builds the single-table relation for UPDATE/DELETE row
 // selection, using the same planner access paths as SELECT scans.
-func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value) (*relation, *binder, error) {
+func (e *Engine) matchTable(table string, where sqltext.Expr, b *binder) (*relation, error) {
 	sel := &sqltext.Select{
 		Items: []sqltext.SelectItem{{Star: true}},
 		From:  &sqltext.TableRef{Table: table},
 		Where: where,
 	}
-	rel, whereApplied, err := e.buildTableRef(*sel.From, args, nil, sel, e.writerCtx())
+	rel, whereApplied, err := e.buildTableRef(*sel.From, b, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	b := newBinder(e, args, rel, nil, e.writerCtx())
 	if where != nil && !whereApplied {
 		if err := e.refilter(where, rel, b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return rel, b, nil
+	return rel, nil
 }
 
 func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []ChangeEvent, error) {
@@ -211,18 +211,18 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 		}
 		setPos[i] = p
 	}
-	rel, b, err := e.matchTable(s.Table, s.Where, args)
+	b := newBinder(e, args, nil, e.writerCtx())
+	rel, err := e.matchTable(s.Table, s.Where, b)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	nUser := len(schema.Columns)
-	// Batch-evaluate SET expressions that lower to the VM across all
-	// matched rows. Lane errors are held per (row, assignment) and
-	// surfaced inside the apply loop below, so the interleaving with
-	// store.Update — rows before the erroring one are still applied —
-	// matches the interpreter exactly.
-	setVals, setErrs := e.updateSetVecs(s, rel, args)
+	// Batch-evaluate the SET expressions across all matched rows. Lane
+	// errors are held per (row, assignment) and surfaced inside the apply
+	// loop below, so the interleaving with store.Update — rows before the
+	// erroring one are still applied — matches per-row evaluation.
+	setVals, setErrs := e.updateSetVecs(s, rel, b)
 	ev := ChangeEvent{Table: schema.Name, Op: OpUpdate}
 	for ri, r := range rel.rows {
 		tid := r[nUser].Int() // _tid system column
@@ -231,20 +231,10 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 		newRow := make(types.Row, nUser)
 		copy(newRow, oldRow)
 		for i, a := range s.Set {
-			var v types.Value
-			var err error
-			if setVals != nil && setVals[i] != nil {
-				if setErrs[i] != nil {
-					err = setErrs[i][ri]
-				}
-				v = setVals[i][ri]
-			} else {
-				v, err = b.eval(a.Value, r)
+			if setErrs[i] != nil && setErrs[i][ri] != nil {
+				return nil, nil, setErrs[i][ri]
 			}
-			if err != nil {
-				return nil, nil, err
-			}
-			cv, err := v.CoerceTo(schema.Columns[setPos[i]].Type)
+			cv, err := setVals[i][ri].CoerceTo(schema.Columns[setPos[i]].Type)
 			if err != nil {
 				return nil, nil, fmt.Errorf("engine: column %s.%s: %w", s.Table, a.Column, err)
 			}
@@ -275,48 +265,49 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 }
 
 // updateSetVecs batch-evaluates the UPDATE's SET expressions over the
-// matched rows through the VM. Returns per-assignment value and error
-// columns; a nil column means that assignment stays on the interpreter.
-func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, args []types.Value) ([][]types.Value, [][]error) {
-	if !e.vmOn() || len(rel.rows) == 0 {
-		return nil, nil
-	}
-	var progs []*vm.Program
-	var which []int
-	for i, a := range s.Set {
-		if p := e.compiledProg(a.Value, rel.cols); p != nil {
-			progs = append(progs, p)
-			which = append(which, i)
-		}
-	}
-	if len(progs) == 0 {
-		return nil, nil
-	}
+// matched rows. Returns per-assignment value and error columns (an
+// error column stays nil until some row errors).
+func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, b *binder) ([][]types.Value, [][]error) {
 	n := len(rel.rows)
 	setVals := make([][]types.Value, len(s.Set))
 	setErrs := make([][]error, len(s.Set))
-	for _, i := range which {
-		setVals[i] = make([]types.Value, n)
+	if n == 0 {
+		return setVals, setErrs
 	}
-	err := e.evalVecsRange(progs, rel, args, 0, n, func(start, count int, vecs []*vm.Vec) error {
-		for vi, i := range which {
+	// Literals and bound parameters are the same value on every row.
+	var progs []*vm.Program
+	var which []int
+	for i, a := range s.Set {
+		setVals[i] = make([]types.Value, n)
+		if v, ok := constVal(a.Value, b.args); ok {
+			for ri := range setVals[i] {
+				setVals[i][ri] = v
+			}
+			continue
+		}
+		progs = append(progs, e.compiledProg(a.Value, rel))
+		which = append(which, i)
+	}
+	if len(progs) == 0 {
+		return setVals, setErrs
+	}
+	// The sink never fails, so neither does evalVecsRange.
+	_ = e.evalVecsRange(progs, rel, b, 0, n, func(start, count int, vecs []*vm.Vec) error {
+		for k, v := range vecs {
+			i := which[k]
 			for ri := 0; ri < count; ri++ {
-				if err := vecs[vi].Err(ri); err != nil {
+				if err := v.Err(ri); err != nil {
 					if setErrs[i] == nil {
 						setErrs[i] = make([]error, n)
 					}
 					setErrs[i][start+ri] = err
 					continue
 				}
-				setVals[i][start+ri] = vecs[vi].Value(ri)
+				setVals[i][start+ri] = v.Value(ri)
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		// evalVecsRange only fails through the sink, which never errors here.
-		return nil, nil
-	}
 	return setVals, setErrs
 }
 
@@ -328,7 +319,7 @@ func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []C
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: no such table %q", s.Table)
 	}
-	rel, _, err := e.matchTable(s.Table, s.Where, args)
+	rel, err := e.matchTable(s.Table, s.Where, newBinder(e, args, nil, e.writerCtx()))
 	if err != nil {
 		return nil, nil, err
 	}

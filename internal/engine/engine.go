@@ -171,12 +171,10 @@ type Engine struct {
 	// Compiled expression VM (see compile.go / internal/engine/vm):
 	// programs cached per expression identity, purged with the plan cache
 	// on DDL and on function-registry changes.
-	compiledEval atomic.Bool
-	progs        *progCache
-	mVMCompile   *metrics.Counter
-	mVMFallback  *metrics.Counter
-	mVMBatches   *metrics.Counter
-	mVMRows      *metrics.Counter
+	progs      *progCache
+	mVMCompile *metrics.Counter
+	mVMBatches *metrics.Counter
+	mVMRows    *metrics.Counter
 
 	// Morsel-driven intra-query parallelism (see parallel.go). The
 	// worker budget is engine-wide: concurrent sessions draw extra
@@ -236,9 +234,7 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mPlanHit = e.reg.Counter("engine.plan_cache_hit")
 	e.mPlanMiss = e.reg.Counter("engine.plan_cache_miss")
 	e.progs = newProgCache(1024)
-	e.compiledEval.Store(true)
 	e.mVMCompile = e.reg.Counter("vm.compile")
-	e.mVMFallback = e.reg.Counter("vm.fallback")
 	e.mVMBatches = e.reg.Counter("vm.exec_batches")
 	e.mVMRows = e.reg.Counter("vm.rows")
 	e.parallelism.Store(int64(runtime.GOMAXPROCS(0)))

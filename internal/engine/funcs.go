@@ -6,40 +6,12 @@ import (
 	"strings"
 	"time"
 
-	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
 )
 
-// evalFunc evaluates a scalar (non-aggregate) function call.
-func (b *binder) evalFunc(x *sqltext.FuncCall, row types.Row) (types.Value, error) {
-	name := strings.ToUpper(x.Name)
-	// COALESCE short-circuits, so it is handled before argument evaluation.
-	if name == "COALESCE" {
-		for _, a := range x.Args {
-			v, err := b.eval(a, row)
-			if err != nil {
-				return types.Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return types.Null, nil
-	}
-	args := make([]types.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := b.eval(a, row)
-		if err != nil {
-			return types.Null, err
-		}
-		args[i] = v
-	}
-	return b.e.callScalarFn(name, args)
-}
-
 // builtinScalars names every function callScalar implements. The VM
-// compiler and callScalarFn both consult it, so built-in resolution is
-// decided the same way at compile time and per row.
+// compiler (vmFunc) consults it, so built-ins take precedence over
+// user-registered functions of the same name.
 var builtinScalars = map[string]bool{
 	"COALESCE": true, "ABS": true, "LENGTH": true, "UPPER": true,
 	"LOWER": true, "TRIM": true, "SUBSTR": true, "CONCAT": true,
@@ -58,8 +30,8 @@ func callScalar(name string, args []types.Value) (types.Value, error) {
 	}
 	switch name {
 	case "COALESCE":
-		// Non-short-circuit variant for pre-evaluated arguments (the
-		// aggregate path); evalFunc handles the short-circuit form.
+		// Non-short-circuit variant for pre-evaluated arguments; the VM
+		// compiles COALESCE calls to its short-circuit opcode instead.
 		for _, v := range args {
 			if !v.IsNull() {
 				return v, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -170,7 +171,8 @@ type morselOut struct {
 // At width 1 one morsel spans the whole slot view and runs on the
 // caller's machines; wider scans cut the view into morselSlots-long
 // morsels claimed in order by the workers.
-func (e *Engine) scanTable(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, args []types.Value, ctx *stmtCtx, nUser int) error {
+func (e *Engine) scanTable(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, b *binder, nUser int) error {
+	ctx := b.ctx
 	view := tbl.View(ctx.snap)
 	nSlots := view.Slots()
 	kinds := batchKinds(rel.cols)
@@ -203,10 +205,10 @@ func (e *Engine) scanTable(tbl *storage.Table, rel *relation, prog *vm.Program, 
 		return morsels
 	}, func(id int, claim func() (int, bool)) {
 		m := vm.NewMachine(prog)
-		m.Bind(args)
+		m.Bind(b.args, b)
 		wproj := proj
 		if id > 0 {
-			wproj = proj.clone(args)
+			wproj = proj.clone(b)
 		}
 		batch := vm.NewBatch(kinds, used)
 		var scratch types.Row
@@ -357,7 +359,7 @@ func scanUsedCols(prog *vm.Program, proj *scanProj) []int {
 // clone returns a worker-private copy of a scan projection: programs
 // and bare-column maps are shared (immutable), machines are per-worker
 // (vm.Machine is not goroutine-safe).
-func (sp *scanProj) clone(args []types.Value) *scanProj {
+func (sp *scanProj) clone(b *binder) *scanProj {
 	if sp == nil {
 		return nil
 	}
@@ -371,7 +373,7 @@ func (sp *scanProj) clone(args []types.Value) *scanProj {
 	for i, p := range sp.progs {
 		if p != nil {
 			c.machines[i] = vm.NewMachine(p)
-			c.machines[i].Bind(args)
+			c.machines[i].Bind(b.args, b)
 		}
 	}
 	return c
@@ -381,12 +383,12 @@ func (sp *scanProj) clone(args []types.Value) *scanProj {
 // chunk by chunk, invoking sink with each chunk's result vectors (valid
 // only during the callback) and the chunk's absolute start index.
 // Workers call it over disjoint ranges, each with its own machines.
-func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
+func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, b *binder, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
 	machines := make([]*vm.Machine, len(progs))
 	usedSet := map[int]bool{}
 	for i, p := range progs {
 		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(args)
+		machines[i].Bind(b.args, b)
 		for _, c := range p.Cols() {
 			usedSet[c] = true
 		}
@@ -404,6 +406,13 @@ func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.
 			end = hi
 		}
 		batch.Fill(rel.rows[start:end])
+		for i := start; rel.errs != nil && i < end; i++ {
+			for c, err := range rel.errs[i] {
+				if err != nil {
+					batch.SetErr(c, i-start, err)
+				}
+			}
+		}
 		for i, mch := range machines {
 			vecs[i] = mch.Eval(batch)
 		}
@@ -436,7 +445,7 @@ func contiguousRanges(n, nw int) [][2]int {
 // each range records its first (row, expression) error and stops; the
 // lowest range's error is the one a single range would have surfaced
 // first.
-func (e *Engine) evalKeys(progs []*vm.Program, rel *relation, args []types.Value, keys []string, ctx *stmtCtx) error {
+func (e *Engine) evalKeys(progs []*vm.Program, rel *relation, b *binder, keys []string) error {
 	n := len(rel.rows)
 	var ranges [][2]int
 	var errs []error
@@ -447,7 +456,7 @@ func (e *Engine) evalKeys(progs []*vm.Program, rel *relation, args []types.Value
 	}, func(_ int, claim func() (int, bool)) {
 		keyVals := make(types.Row, len(progs))
 		for wi, ok := claim(); ok; wi, ok = claim() {
-			errs[wi] = e.evalVecsRange(progs, rel, args, ranges[wi][0], ranges[wi][1], func(start, count int, vecs []*vm.Vec) error {
+			errs[wi] = e.evalVecsRange(progs, rel, b, ranges[wi][0], ranges[wi][1], func(start, count int, vecs []*vm.Vec) error {
 				for ri := 0; ri < count; ri++ {
 					for gi := range progs {
 						if err := vecs[gi].Err(ri); err != nil {
@@ -466,7 +475,7 @@ func (e *Engine) evalKeys(progs []*vm.Program, rel *relation, args []types.Value
 			return err
 		}
 	}
-	ctx.notePar(nw)
+	b.ctx.notePar(nw)
 	return nil
 }
 
@@ -576,9 +585,9 @@ func (st *aggState) step(op aggOp, v types.Value) {
 	}
 }
 
-// result finalizes a state into the aggregate's value with exactly
-// foldAggregate's semantics (NULL on empty, int/float promotion,
-// argument errors before fold errors).
+// result finalizes a state into the aggregate's value: NULL on empty,
+// int/float promotion, argument errors before fold errors — the
+// semantics of the reference evaluator's foldAggregate.
 func (st *aggState) result(op aggOp) (types.Value, error) {
 	if st.argErr != nil {
 		return types.Null, st.argErr
@@ -610,10 +619,11 @@ func (st *aggState) result(op aggOp) (types.Value, error) {
 	}
 }
 
-// aggFold holds the column-native fold states for every simple
-// aggregate item, laid out [item][group].
+// aggFold folds every aggregate call of a statement per group. calls
+// describes each call; the folded ones (one argument, no star) own a
+// program and a [call][group] slab of states.
 type aggFold struct {
-	calls    map[*sqltext.FuncCall]int
+	calls    []aggCall
 	ops      []aggOp
 	distinct []bool
 	progs    []*vm.Program
@@ -621,51 +631,54 @@ type aggFold struct {
 	nGroups  int
 }
 
-func (f *aggFold) lookup(fc *sqltext.FuncCall, gi int) *aggState {
-	if f == nil {
-		return nil
-	}
-	ci, ok := f.calls[fc]
-	if !ok {
-		return nil
-	}
-	return &f.states[ci*f.nGroups+gi]
+// aggCall is one aggregate call's fold plan: a malformed call fails
+// every group with err, COUNT(*) (fold < 0) counts the group, anything
+// else reads fold states [fold*nGroups, (fold+1)*nGroups).
+type aggCall struct {
+	op   aggOp
+	err  error
+	fold int
 }
 
-// buildAggFold selects the foldable aggregate items (simple call, one
-// lowerable argument) and folds them over rel.rows column-natively from
-// typed lanes. Items it leaves out fall back to the interpreter's
-// evalAggregateCall.
-func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int, ctx *stmtCtx) *aggFold {
-	if !e.vmOn() || len(rel.rows) == 0 || nGroups == 0 {
-		return nil
+// result is call k's value for group gi of the given size.
+func (f *aggFold) result(k, gi, size int) (types.Value, error) {
+	c := f.calls[k]
+	switch {
+	case c.err != nil:
+		return types.Null, c.err
+	case c.fold < 0:
+		return types.NewInt(int64(size)), nil
 	}
-	f := &aggFold{calls: map[*sqltext.FuncCall]int{}, nGroups: nGroups}
-	for _, it := range items {
-		fc, ok := it.Expr.(*sqltext.FuncCall)
-		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || len(fc.Args) != 1 {
-			continue
+	return f.states[c.fold*f.nGroups+gi].result(c.op)
+}
+
+// buildAggFold plans every aggregate call and folds the argument of
+// each well-formed one over rel.rows column-natively from typed lanes.
+func (e *Engine) buildAggFold(calls []*sqltext.FuncCall, rel *relation, b *binder, rowGroup []int32, nGroups int) *aggFold {
+	f := &aggFold{calls: make([]aggCall, len(calls)), nGroups: nGroups}
+	for k, fc := range calls {
+		name := strings.ToUpper(fc.Name)
+		op, _ := aggOpOf(name)
+		c := aggCall{op: op, fold: -1}
+		switch {
+		case fc.Star && op == aggCount:
+		case fc.Star:
+			c.err = fmt.Errorf("engine: %s(*) is not valid", name)
+		case len(fc.Args) != 1:
+			c.err = fmt.Errorf("engine: %s takes one argument", name)
+		default:
+			c.fold = len(f.ops)
+			f.ops = append(f.ops, op)
+			f.distinct = append(f.distinct, fc.Distinct)
+			f.progs = append(f.progs, e.compiledProg(fc.Args[0], rel))
 		}
-		if _, dup := f.calls[fc]; dup {
-			continue
-		}
-		op, ok := aggOpOf(strings.ToUpper(fc.Name))
-		if !ok {
-			continue
-		}
-		p := e.compiledProg(fc.Args[0], rel.cols)
-		if p == nil {
-			continue
-		}
-		f.calls[fc] = len(f.ops)
-		f.ops = append(f.ops, op)
-		f.distinct = append(f.distinct, fc.Distinct)
-		f.progs = append(f.progs, p)
+		f.calls[k] = c
 	}
-	if len(f.ops) == 0 {
-		return nil
+	if len(rel.rows) == 0 || len(f.ops) == 0 || nGroups == 0 {
+		f.states = make([]aggState, len(f.ops)*nGroups)
+		return f
 	}
-	f.states = e.foldStates(f, rel, b.args, rowGroup, ctx)
+	f.states = e.foldStates(f, rel, b, rowGroup)
 	return f
 }
 
@@ -700,7 +713,7 @@ func (f *aggFold) mergeSafe(kinds []types.Kind) bool {
 // that are not merge-safe) is the fold itself. When a merged state
 // turns out merge-unsafe at runtime (float SUM, mixed-class MIN/MAX),
 // the input is refolded as one range, which is always exact.
-func (e *Engine) foldStates(f *aggFold, rel *relation, args []types.Value, rowGroup []int32, ctx *stmtCtx) []aggState {
+func (e *Engine) foldStates(f *aggFold, rel *relation, b *binder, rowGroup []int32) []aggState {
 	n := len(rel.rows)
 	width := 1
 	if f.nGroups <= parallelGroupCap && f.mergeSafe(batchKinds(rel.cols)) {
@@ -714,10 +727,10 @@ func (e *Engine) foldStates(f *aggFold, rel *relation, args []types.Value, rowGr
 		return len(ranges)
 	}, func(_ int, claim func() (int, bool)) {
 		for wi, ok := claim(); ok; wi, ok = claim() {
-			partials[wi] = e.foldRange(f, rel, args, ranges[wi][0], ranges[wi][1], rowGroup)
+			partials[wi] = e.foldRange(f, rel, b, ranges[wi][0], ranges[wi][1], rowGroup)
 		}
 	})
-	ctx.notePar(nw)
+	b.ctx.notePar(nw)
 	merged := partials[0]
 	if len(partials) == 1 {
 		return merged
@@ -729,7 +742,7 @@ func (e *Engine) foldStates(f *aggFold, rel *relation, args []types.Value, rowGr
 		st := &merged[i]
 		op := f.ops[i/f.nGroups]
 		if ((op == aggSum || op == aggAvg) && st.notAllInt) || ((op == aggMin || op == aggMax) && st.mixed) {
-			return e.foldRange(f, rel, args, 0, n, rowGroup)
+			return e.foldRange(f, rel, b, 0, n, rowGroup)
 		}
 	}
 	return merged
@@ -782,9 +795,9 @@ func mergeAggStates(dst, src []aggState, ops []aggOp, nGroups int) {
 
 // foldRange folds every item of f over rel.rows[lo:hi), column-native:
 // typed int/float lanes fold without boxing a single value.
-func (e *Engine) foldRange(f *aggFold, rel *relation, args []types.Value, lo, hi int, rowGroup []int32) []aggState {
+func (e *Engine) foldRange(f *aggFold, rel *relation, b *binder, lo, hi int, rowGroup []int32) []aggState {
 	states := make([]aggState, len(f.ops)*f.nGroups)
-	_ = e.evalVecsRange(f.progs, rel, args, lo, hi, func(start, count int, vecs []*vm.Vec) error {
+	_ = e.evalVecsRange(f.progs, rel, b, lo, hi, func(start, count int, vecs []*vm.Vec) error {
 		for ci := range f.ops {
 			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
 		}
@@ -800,7 +813,7 @@ func (e *Engine) foldRange(f *aggFold, rel *relation, args []types.Value, lo, hi
 // folding); a state with a fold error keeps watching for argument
 // errors only; NULL lanes are skipped, and so are DISTINCT repeats —
 // the remaining values fold in first-occurrence order, exactly the
-// deduplicated sequence foldAggregate sees.
+// deduplicated sequence the reference evaluator's foldAggregate sees.
 func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup []int32, start, count int) {
 	kind := vec.Kind()
 	for ri := 0; ri < count; ri++ {

@@ -166,6 +166,15 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
 		"SELECT dim.label, COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k GROUP BY dim.label",
 		"SELECT p.id FROM p LEFT JOIN dim ON p.v % 7 = dim.k AND dim.k > 3 WHERE p.id < 40 ORDER BY p.id",
+		// Subqueries: one result per statement, shared by every worker
+		// of the scan, the key evaluation and the fold.
+		"SELECT id FROM p WHERE v % 7 IN (SELECT k FROM dim) AND id % 3 = 0",
+		"SELECT id, v + (SELECT MAX(k) FROM dim) FROM p WHERE v > 990",
+		"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
+		"SELECT SUM(v * (SELECT COUNT(*) FROM dim)), MAX(w) FROM p",
+		"SELECT id FROM p WHERE EXISTS (SELECT k FROM dim WHERE k > 100) OR v = 3",
+		"SELECT id FROM p WHERE v > (SELECT nosuch FROM dim)",
+		"SELECT id FROM p WHERE v IS NULL AND v IN (SELECT 1 / 0 FROM dim)",
 		// Error statements: WHERE errors, projection errors, fold errors.
 		"SELECT id FROM p WHERE v / (id - 1500) >= 0",
 		"SELECT v / (id - 2999) FROM p WHERE v IS NOT NULL",

@@ -397,13 +397,12 @@ type joinPlan struct {
 // an AND chain containing at least one equality between a left-side and
 // a right-side column; the remaining conjuncts become a residual filter
 // evaluated on each candidate match.
-func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) *joinPlan {
+func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause) *joinPlan {
 	if jc.Kind == "CROSS" {
 		return &joinPlan{kind: "cross"}
 	}
 	plan := &joinPlan{kind: "nested"}
-	lb := newBinder(e, args, left, overrides, ctx)
-	rb := newBinder(e, args, right, overrides, ctx)
+	lx, rx := newColIndex(left.cols), newColIndex(right.cols)
 	for _, c := range andConjuncts(jc.On) {
 		eqv, ok := c.(*sqltext.Binary)
 		if !ok || eqv.Op != "=" {
@@ -416,12 +415,12 @@ func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args 
 			plan.residual = append(plan.residual, c)
 			continue
 		}
-		li, lerr := lb.resolve(lcr)
-		ri, rerr := rb.resolve(rcr)
+		li, lerr := lx.resolve(lcr.Table, lcr.Column)
+		ri, rerr := rx.resolve(rcr.Table, rcr.Column)
 		if lerr != nil || rerr != nil {
 			// Maybe the refs are swapped relative to the sides.
-			li2, lerr2 := lb.resolve(rcr)
-			ri2, rerr2 := rb.resolve(lcr)
+			li2, lerr2 := lx.resolve(rcr.Table, rcr.Column)
+			ri2, rerr2 := rx.resolve(lcr.Table, lcr.Column)
 			if lerr2 != nil || rerr2 != nil {
 				plan.residual = append(plan.residual, c)
 				continue
@@ -518,7 +517,7 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 			if err != nil {
 				return nil, err
 			}
-			plan := e.analyzeJoin(left, right, j, nil, nil, ctx)
+			plan := e.analyzeJoin(left, right, j)
 			label := "nested-loop"
 			switch plan.kind {
 			case "cross":
@@ -530,17 +529,13 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 			left = &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
 		}
 		if items, _, err := expandItems(sel, left); err == nil && len(items) > 0 {
-			allCompiled := true
 			agg := len(sel.GroupBy) > 0
 			for _, it := range items {
 				if sqltext.HasAggregate(it.Expr) {
 					agg = true
 				}
-				if e.compiledProg(it.Expr, left.cols) == nil {
-					allCompiled = false
-				}
 			}
-			if allCompiled && !agg {
+			if !agg {
 				lines = append(lines, indent+"project: compiled")
 			}
 		}
@@ -599,18 +594,16 @@ func (e *Engine) explainRef(tr sqltext.TableRef, sel *sqltext.Select, indent str
 		}
 		label = analyzeScan(sel.Where, schema, e.store.Table(target), qual).label()
 		if label == "full-scan" {
-			// The executor runs a full-scan WHERE through the expression VM
-			// when it lowers; index paths evaluate inside the index itself.
-			if rel, err := e.refCols(tr); err == nil && e.compiledProg(sel.Where, rel.cols) != nil {
-				label += " [compiled]"
-				// Morsel-parallel fan-out: shown with the configured
-				// width when the snapshot's slot count clears the
-				// threshold. The executor may still run narrower (or
-				// serial) if the engine-wide worker budget is taken.
-				if tbl := e.store.Table(target); tbl != nil {
-					if k := e.parallelWidth(tbl.View(ctx.snap).Slots()); k > 1 {
-						label += fmt.Sprintf(" [parallel n=%d]", k)
-					}
+			// The executor runs a full-scan WHERE through the expression
+			// VM; index paths evaluate inside the index itself.
+			label += " [compiled]"
+			// Morsel-parallel fan-out: shown with the configured width
+			// when the snapshot's slot count clears the threshold. The
+			// executor may still run narrower (or serial) if the
+			// engine-wide worker budget is taken.
+			if tbl := e.store.Table(target); tbl != nil {
+				if k := e.parallelWidth(tbl.View(ctx.snap).Slots()); k > 1 {
+					label += fmt.Sprintf(" [parallel n=%d]", k)
 				}
 			}
 		}
@@ -630,9 +623,7 @@ func (e *Engine) explainMutation(verb, table string, where sqltext.Expr) ([]stri
 	if where != nil {
 		label = analyzeScan(where, schema, e.store.Table(table), strings.ToLower(table)).label()
 		if label == "full-scan" {
-			if rel, err := e.refCols(sqltext.TableRef{Table: table}); err == nil && e.compiledProg(where, rel.cols) != nil {
-				label += " [compiled]"
-			}
+			label += " [compiled]"
 		}
 	}
 	return []string{verb + " " + table + ": " + label}, nil

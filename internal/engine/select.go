@@ -69,17 +69,13 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 	if sel.AsOf != nil && sel != ctx.top {
 		return nil, fmt.Errorf("engine: AS OF is only supported on the top-level SELECT")
 	}
+	b := newBinder(e, args, overrides, ctx)
 	// Build the source relation (FROM + JOINs + WHERE).
-	var rel *relation
-	var b *binder
+	rel := &relation{rows: []types.Row{nil}} // one empty row: SELECT 1+1
 	whereApplied := false
-	if sel.From == nil {
-		rel = &relation{rows: []types.Row{nil}} // one empty row: SELECT 1+1
-		b = newBinder(e, args, rel, overrides, ctx)
-	} else {
+	if sel.From != nil {
 		var err error
-		rel, b, whereApplied, err = e.buildFrom(sel, args, overrides, ctx)
-		if err != nil {
+		if rel, whereApplied, err = e.buildFrom(sel, b); err != nil {
 			return nil, err
 		}
 	}
@@ -90,38 +86,11 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 	if rel.projNames != nil {
 		out := rel.rows
 		if sel.Distinct {
-			seen := map[string]bool{}
-			kept := out[:0:0]
-			for _, r := range out {
-				k := types.RowKey(r)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				kept = append(kept, r)
-			}
-			out = kept
+			out, _ = distinctRows(out)
 		}
-		if sel.Offset != nil {
-			n, err := evalIntArg(b, sel.Offset)
-			if err != nil {
-				return nil, err
-			}
-			if n > int64(len(out)) {
-				n = int64(len(out))
-			}
-			if n > 0 {
-				out = out[n:]
-			}
-		}
-		if sel.Limit != nil {
-			n, err := evalIntArg(b, sel.Limit)
-			if err != nil {
-				return nil, err
-			}
-			if n < int64(len(out)) && n >= 0 {
-				out = out[:n]
-			}
+		out, err := e.limitRows(sel, out, rel, b)
+		if err != nil {
+			return nil, err
 		}
 		return &Result{Columns: rel.projNames, Rows: out}, nil
 	}
@@ -149,53 +118,86 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 		}
 	}
 
+	// src holds, per output row, what ORDER BY source expressions read:
+	// the source row, or in aggregate context the group's row of source
+	// columns and aggregate results.
 	var out []types.Row
-	var srcRows []types.Row // representative source row per output row (for ORDER BY)
+	var src *relation
 	if aggregate {
-		out, srcRows, err = e.evalAggregateSelect(sel, items, rel, b)
-		if err != nil {
-			return nil, err
-		}
+		out, src, err = e.evalAggregateSelect(sel, items, rel, b)
 	} else {
-		out = make([]types.Row, 0, len(rel.rows))
-		srcRows = rel.rows
-		out, err = e.projectRows(items, rel, b, out)
-		if err != nil {
-			return nil, err
-		}
+		out, _, err = e.projectRows(nil, items, rel, b)
+		src = e.rowSource(sel, rel, b)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// DISTINCT.
 	if sel.Distinct {
-		seen := map[string]bool{}
-		kept := out[:0:0]
-		keptSrc := srcRows[:0:0]
-		for i, r := range out {
-			k := types.RowKey(r)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, r)
-			if i < len(srcRows) {
-				keptSrc = append(keptSrc, srcRows[i])
-			}
+		var keep []int
+		out, keep = distinctRows(out)
+		if len(sel.OrderBy) > 0 {
+			src = src.subset(keep)
 		}
-		out = kept
-		srcRows = keptSrc
 	}
 
 	// ORDER BY (bounded top-k selection when LIMIT is statically known).
 	if len(sel.OrderBy) > 0 {
-		out, srcRows, err = e.orderRows(sel, items, colNames, out, srcRows, b)
-		if err != nil {
+		if out, err = e.orderRows(sel, colNames, out, src, b); err != nil {
 			return nil, err
 		}
 	}
 
-	// LIMIT / OFFSET.
+	if out, err = e.limitRows(sel, out, rel, b); err != nil {
+		return nil, err
+	}
+	return &Result{Columns: colNames, Rows: out}, nil
+}
+
+// rowSource is what the ORDER BY of a non-aggregate SELECT reads: the
+// source rows, plus a result column per ORDER BY aggregate, each source
+// row folded alone.
+func (e *Engine) rowSource(sel *sqltext.Select, rel *relation, b *binder) *relation {
+	var exprs []sqltext.Expr
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	calls := aggCalls(exprs)
+	if len(calls) == 0 {
+		return rel
+	}
+	n := len(rel.rows)
+	g := groups{rowGroup: make([]int32, n), first: make([]int, n), sizes: make([]int, n)}
+	for i := 0; i < n; i++ {
+		g.rowGroup[i], g.first[i], g.sizes[i] = int32(i), i, 1
+	}
+	return e.aggRel(calls, rel, b, g)
+}
+
+// distinctRows drops repeated output rows, keeping first occurrences,
+// and returns the kept rows' positions.
+func distinctRows(out []types.Row) ([]types.Row, []int) {
+	seen := map[string]bool{}
+	kept := out[:0:0]
+	var keep []int
+	for i, r := range out {
+		k := types.RowKey(r)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		kept = append(kept, r)
+		keep = append(keep, i)
+	}
+	return kept, keep
+}
+
+// limitRows applies OFFSET then LIMIT. Both evaluate once with no row
+// in scope.
+func (e *Engine) limitRows(sel *sqltext.Select, out []types.Row, rel *relation, b *binder) ([]types.Row, error) {
 	if sel.Offset != nil {
-		n, err := evalIntArg(b, sel.Offset)
+		n, err := e.evalIntArg(sel.Offset, rel, b)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +209,7 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 		}
 	}
 	if sel.Limit != nil {
-		n, err := evalIntArg(b, sel.Limit)
+		n, err := e.evalIntArg(sel.Limit, rel, b)
 		if err != nil {
 			return nil, err
 		}
@@ -215,39 +217,11 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 			out = out[:n]
 		}
 	}
-
-	return &Result{Columns: colNames, Rows: out}, nil
+	return out, nil
 }
 
-// refilter applies a WHERE the access path did not fully evaluate to
-// the already-materialized rows of rel (index-scan candidates, post-join
-// rows, IVM overrides): compiled when the predicate lowers, interpreted
-// through b otherwise.
-func (e *Engine) refilter(where sqltext.Expr, rel *relation, b *binder) error {
-	if prog := e.compiledProg(where, rel.cols); prog != nil {
-		kept, err := e.runFilterRows(prog, rel.cols, rel.rows, b.args)
-		if err != nil {
-			return err
-		}
-		rel.rows = kept
-		return nil
-	}
-	kept := rel.rows[:0:0]
-	for _, r := range rel.rows {
-		ok, err := b.evalBool(where, r)
-		if err != nil {
-			return err
-		}
-		if ok {
-			kept = append(kept, r)
-		}
-	}
-	rel.rows = kept
-	return nil
-}
-
-func evalIntArg(b *binder, e sqltext.Expr) (int64, error) {
-	v, err := b.eval(e, nil)
+func (e *Engine) evalIntArg(x sqltext.Expr, rel *relation, b *binder) (int64, error) {
+	v, err := e.evalCell(x, rel, b)
 	if err != nil {
 		return 0, err
 	}
@@ -304,158 +278,131 @@ func expandItems(sel *sqltext.Select, rel *relation) ([]projItem, []string, erro
 	return items, names, nil
 }
 
-// evalAggregateSelect evaluates GROUP BY / aggregate projection. Groups
-// hold row indexes into rel.rows so the hot inputs — group keys and the
-// arguments of simple aggregate items — can be evaluated once, batched,
-// across all rows, while HAVING and complex items keep the per-group
-// interpreter path over lazily materialized row slices.
-func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel *relation, b *binder) ([]types.Row, []types.Row, error) {
+// groups is the grouping of a relation's rows: per row its group
+// ordinal (nil: one group holding every row), and per group its first
+// row (-1 when empty) and size.
+type groups struct {
+	rowGroup []int32
+	first    []int
+	sizes    []int
+}
+
+// evalAggregateSelect evaluates GROUP BY / aggregate projection: every
+// aggregate call is folded per group (aggRel), then HAVING and the items
+// run over one row per group. It returns the output rows and, aligned,
+// the group rows ORDER BY reads.
+func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel *relation, b *binder) ([]types.Row, *relation, error) {
 	n := len(rel.rows)
-	groups := map[string][]int{}
-	var order []string
-	var rowGroup []int32 // per-row group ordinal; nil = single group
+	var g groups
 	if len(sel.GroupBy) == 0 {
 		// Single implicit group; aggregates over an empty relation still
 		// produce one row (COUNT(*) = 0).
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
+		g.first, g.sizes = []int{-1}, []int{n}
+		if n > 0 {
+			g.first[0] = 0
 		}
-		groups[""] = all
-		order = append(order, "")
 	} else {
-		keys, err := e.groupKeys(sel, rel, b)
-		if err != nil {
+		// Group keys: the RowKey of the GROUP BY expressions per row.
+		keys := make([]string, n)
+		progs := make([]*vm.Program, len(sel.GroupBy))
+		for i, x := range sel.GroupBy {
+			progs[i] = e.compiledProg(x, rel)
+		}
+		if err := e.evalKeys(progs, rel, b, keys); err != nil {
 			return nil, nil, err
 		}
-		rowGroup = make([]int32, n)
-		ordinal := make(map[string]int)
-		for i := 0; i < n; i++ {
-			k := keys[i]
-			g, ok := ordinal[k]
+		g.rowGroup = make([]int32, n)
+		ordinal := make(map[string]int32)
+		for i, k := range keys {
+			gi, ok := ordinal[k]
 			if !ok {
-				g = len(order)
-				ordinal[k] = g
-				order = append(order, k)
+				gi = int32(len(g.first))
+				ordinal[k] = gi
+				g.first = append(g.first, i)
+				g.sizes = append(g.sizes, 0)
 			}
-			groups[k] = append(groups[k], i)
-			rowGroup[i] = int32(g)
+			g.sizes[gi]++
+			g.rowGroup[i] = gi
 		}
 	}
-	fold := e.buildAggFold(items, rel, b, rowGroup, len(order), b.ctx)
-	var out []types.Row
-	var src []types.Row
-	for gi, k := range order {
-		idx := groups[k]
-		var grpRows []types.Row
-		rowsOf := func() []types.Row {
-			if grpRows == nil {
-				grpRows = make([]types.Row, 0, len(idx))
-				for _, ri := range idx {
-					grpRows = append(grpRows, rel.rows[ri])
-				}
+	exprs := []sqltext.Expr{sel.Having}
+	for _, it := range items {
+		exprs = append(exprs, it.Expr)
+	}
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	grp := e.aggRel(aggCalls(exprs), rel, b, g)
+	out, kept, err := e.projectRows(sel.Having, items, grp, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sel.Having != nil {
+		grp = grp.subset(kept)
+	}
+	return out, grp, nil
+}
+
+// aggCalls collects the distinct aggregate calls of exprs in order of
+// appearance. An aggregate's own arguments are not searched: a nested
+// aggregate is evaluated per source row, where it is an error.
+func aggCalls(exprs []sqltext.Expr) []*sqltext.FuncCall {
+	var calls []*sqltext.FuncCall
+	seen := map[*sqltext.FuncCall]bool{}
+	for _, x := range exprs {
+		sqltext.WalkExpr(x, func(x sqltext.Expr) bool {
+			fc, ok := x.(*sqltext.FuncCall)
+			if !ok || !sqltext.IsAggregateName(fc.Name) {
+				return true
 			}
-			return grpRows
+			if !seen[fc] {
+				seen[fc] = true
+				calls = append(calls, fc)
+			}
+			return false
+		})
+	}
+	return calls
+}
+
+// aggRel builds the relation aggregate-context expressions run over:
+// per group, its first source row (NULLs for an empty group) then one
+// column per aggregate call with its result, or its error, raised only
+// where a lane reads it (a group HAVING rejects never raises).
+func (e *Engine) aggRel(calls []*sqltext.FuncCall, rel *relation, b *binder, g groups) *relation {
+	nSrc, nGroups := len(rel.cols), len(g.first)
+	grp := &relation{cols: make([]colMeta, nSrc+len(calls)), aggs: make(map[*sqltext.FuncCall]int, len(calls))}
+	copy(grp.cols, rel.cols)
+	for k, fc := range calls {
+		grp.cols[nSrc+k] = colMeta{hidden: true}
+		grp.aggs[fc] = nSrc + k
+	}
+	fold := e.buildAggFold(calls, rel, b, g.rowGroup, nGroups)
+	w := len(grp.cols)
+	slab := make([]types.Value, nGroups*w)
+	grp.rows = make([]types.Row, nGroups)
+	for gi := range grp.rows {
+		row := types.Row(slab[gi*w : (gi+1)*w : (gi+1)*w])
+		if f := g.first[gi]; f >= 0 {
+			copy(row[:nSrc], rel.rows[f])
 		}
-		if sel.Having != nil {
-			hv, err := b.evalAgg(sel.Having, rowsOf())
+		for k := range calls {
+			v, err := fold.result(k, gi, g.sizes[gi])
 			if err != nil {
-				return nil, nil, err
-			}
-			keep := false
-			if !hv.IsNull() {
-				keep, err = hv.AsBool()
-				if err != nil {
-					return nil, nil, err
+				if grp.errs == nil {
+					grp.errs = make([][]error, nGroups)
 				}
-			}
-			if !keep {
+				if grp.errs[gi] == nil {
+					grp.errs[gi] = make([]error, w)
+				}
+				grp.errs[gi][nSrc+k] = err
 				continue
 			}
+			row[nSrc+k] = v
 		}
-		row := make(types.Row, len(items))
-		for i, it := range items {
-			v, err := e.evalAggItem(it.Expr, idx, rowsOf, rel, b, fold, gi)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-		if len(idx) > 0 {
-			src = append(src, rel.rows[idx[0]])
-		} else {
-			src = append(src, nil)
-		}
+		grp.rows[gi] = row
 	}
-	return out, src, nil
-}
-
-// groupKeys computes the RowKey of the GROUP BY expressions for every
-// source row, batched through the VM when every key expression lowers.
-// Errors surface in (row, expression) order either way.
-func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]string, error) {
-	n := len(rel.rows)
-	keys := make([]string, n)
-	if e.vmOn() && n > 0 {
-		progs := make([]*vm.Program, len(sel.GroupBy))
-		all := true
-		for i, g := range sel.GroupBy {
-			if progs[i] = e.compiledProg(g, rel.cols); progs[i] == nil {
-				all = false
-				break
-			}
-		}
-		if all {
-			if err := e.evalKeys(progs, rel, b.args, keys, b.ctx); err != nil {
-				return nil, err
-			}
-			return keys, nil
-		}
-	}
-	for i, r := range rel.rows {
-		keyVals := make(types.Row, len(sel.GroupBy))
-		for j, g := range sel.GroupBy {
-			v, err := b.eval(g, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[j] = v
-		}
-		keys[i] = types.RowKey(keyVals)
-	}
-	return keys, nil
-}
-
-// evalAggItem evaluates one aggregate-context projection item for a
-// group given as row indexes, reading the compiled fold's state when
-// the item is a simple aggregate call, and deferring to the
-// interpreter's evalAgg otherwise. Semantics (NULL skipping, DISTINCT,
-// error order) are identical.
-func (e *Engine) evalAggItem(x sqltext.Expr, idx []int, rowsOf func() []types.Row, rel *relation, b *binder, fold *aggFold, gi int) (types.Value, error) {
-	if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-		name := strings.ToUpper(fc.Name)
-		if fc.Star {
-			if name != "COUNT" {
-				return types.Null, fmt.Errorf("engine: %s(*) is not valid", name)
-			}
-			return types.NewInt(int64(len(idx))), nil
-		}
-		if st := fold.lookup(fc, gi); st != nil {
-			op, _ := aggOpOf(name)
-			return st.result(op)
-		}
-		return b.evalAggregateCall(fc, rowsOf())
-	}
-	if !sqltext.HasAggregate(x) {
-		// evalAgg's non-aggregate tail: evaluate on the group's first row
-		// (nil for an empty group).
-		if len(idx) == 0 {
-			return b.eval(x, nil)
-		}
-		return b.eval(x, rel.rows[idx[0]])
-	}
-	return b.evalAgg(x, rowsOf())
+	return grp
 }
 
 // scanProj is a projection compiled for evaluation inside the scan
@@ -475,10 +422,10 @@ type scanProj struct {
 // row matching and needs full-width rows with the _tid column — as do
 // subquery sources feeding an outer binder) and nothing downstream
 // needs the source rows: no GROUP BY / HAVING / ORDER BY, LIMIT and
-// OFFSET are literals or parameters, and every projection item lowers.
-// DISTINCT is fine — it runs over output tuples.
-func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types.Value, ctx *stmtCtx) *scanProj {
-	if sel == nil || sel != ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
+// OFFSET are literals or parameters, and no item aggregates. DISTINCT is
+// fine — it runs over output tuples.
+func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, b *binder) *scanProj {
+	if sel == nil || sel != b.ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
 		!plainIntArg(sel.Limit) || !plainIntArg(sel.Offset) {
 		return nil
 	}
@@ -487,9 +434,7 @@ func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types
 		return nil
 	}
 	for _, it := range items {
-		// Aggregates route to evalAggregateSelect even when an
-		// identically named scalar is registered — mirror that here
-		// rather than trusting compile failure alone.
+		// Aggregates route to evalAggregateSelect.
 		if sqltext.HasAggregate(it.Expr) {
 			return nil
 		}
@@ -502,10 +447,7 @@ func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types
 		vecs:     make([]*vm.Vec, len(items)),
 	}
 	for i, it := range items {
-		p := e.compiledProg(it.Expr, rel.cols)
-		if p == nil {
-			return nil
-		}
+		p := e.compiledProg(it.Expr, rel)
 		if c, ok := p.BareCol(); ok {
 			sp.bare[i] = c
 			continue
@@ -513,7 +455,7 @@ func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types
 		sp.bare[i] = -1
 		sp.progs[i] = p
 		sp.machines[i] = vm.NewMachine(p)
-		sp.machines[i].Bind(args)
+		sp.machines[i].Bind(b.args, b)
 	}
 	return sp
 }
@@ -565,155 +507,113 @@ func (sp *scanProj) emit(dst *[]types.Row, batch *vm.Batch, lanes []int, vals []
 	return nil
 }
 
-// projectRows evaluates the projection over rel.rows, batch-compiling
-// every item that lowers and interpreting the rest per row. Mixing is
-// safe because batched lanes hold their errors until the row-major
-// materialization loop reaches them — so the first error surfaced is
-// the same (row, item) the interpreter would have hit.
-func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []types.Row) ([]types.Row, error) {
+// projectRows evaluates the projection over rel.rows in batches, keeping
+// the rows a HAVING predicate (if any) accepts, whose indexes it returns.
+// Lanes hold their errors until the row-major loop reaches them, so the
+// first error is the one per-row evaluation raises: a row's HAVING, then
+// its items, then the next row. Bare columns index the source row.
+func (e *Engine) projectRows(having sqltext.Expr, items []projItem, rel *relation, b *binder) ([]types.Row, []int, error) {
+	n, w := len(rel.rows), len(items)
+	out := make([]types.Row, 0, n)
+	if n == 0 {
+		return out, nil, nil
+	}
+	// progs: HAVING first when present, then every non-bare item.
 	var progs []*vm.Program
-	anyCompiled := false
-	if e.vmOn() && len(rel.rows) > 0 {
-		progs = make([]*vm.Program, len(items))
-		for i, it := range items {
-			if p := e.compiledProg(it.Expr, rel.cols); p != nil {
-				progs[i] = p
-				anyCompiled = true
-			}
-		}
+	if having != nil {
+		progs = append(progs, e.compiledProg(having, rel))
 	}
-	if !anyCompiled {
-		for _, r := range rel.rows {
-			row := make(types.Row, len(items))
-			for i, it := range items {
-				v, err := b.eval(it.Expr, r)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			out = append(out, row)
-		}
-		return out, nil
-	}
-	machines := make([]*vm.Machine, len(items))
-	// Bare column references skip the VM entirely: the lane value IS
-	// row[c], so the item becomes a direct index into the source row.
-	bareCol := make([]int, len(items))
-	usedSet := map[int]bool{}
-	for i, p := range progs {
-		bareCol[i] = -1
-		if p == nil {
+	bare := make([]int, w)
+	slot := make([]int, w)
+	for i, it := range items {
+		p := e.compiledProg(it.Expr, rel)
+		if c, ok := p.BareCol(); ok && rel.errs == nil {
+			bare[i] = c
 			continue
 		}
-		if c, ok := p.BareCol(); ok {
-			bareCol[i] = c
-			continue
-		}
-		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(b.args)
-		for _, c := range p.Cols() {
-			usedSet[c] = true
-		}
+		bare[i], slot[i] = -1, len(progs)
+		progs = append(progs, p)
 	}
-	if len(usedSet) == 0 {
-		// Every compiled item is a bare column: pure row indexing, no
-		// batches to fill or machines to run.
-		w := len(items)
-		slab := make([]types.Value, len(rel.rows)*w)
+	if len(progs) == 0 {
+		// Every item is a bare column: pure row indexing, no batches to
+		// fill or machines to run.
+		slab := make([]types.Value, n*w)
 		for ri, r := range rel.rows {
 			row := types.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
-			for i, it := range items {
-				if c := bareCol[i]; c >= 0 {
-					if c < len(r) {
-						row[i] = r[c]
-					}
-					continue
+			for i, c := range bare {
+				if c < len(r) {
+					row[i] = r[c]
 				}
-				v, err := b.eval(it.Expr, r)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
 			}
 			out = append(out, row)
 		}
-		return out, nil
+		return out, nil, nil
 	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
-	}
-	sort.Ints(used)
-	batch := vm.NewBatch(batchKinds(rel.cols), used)
-	vecs := make([]*vm.Vec, len(items))
-	for start := 0; start < len(rel.rows); start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > len(rel.rows) {
-			end = len(rel.rows)
-		}
-		batch.Fill(rel.rows[start:end])
-		for i, mch := range machines {
-			if mch != nil {
-				vecs[i] = mch.Eval(batch)
-			}
-		}
-		e.countVM(batch.Len())
+	var kept []int
+	err := e.evalVecsRange(progs, rel, b, 0, n, func(start, count int, vecs []*vm.Vec) error {
 		// One slab of values per batch instead of one allocation per
 		// output row.
-		w := len(items)
-		slab := make([]types.Value, batch.Len()*w)
-		for ri := 0; ri < batch.Len(); ri++ {
-			row := types.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
+		slab := make([]types.Value, count*w)
+		for ri := 0; ri < count; ri++ {
+			if having != nil {
+				ok, err := vecs[0].Truth(ri)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
+				kept = append(kept, start+ri)
+			}
+			row := types.Row(slab[:w:w])
+			slab = slab[w:]
 			src := rel.rows[start+ri]
-			for i, it := range items {
-				if c := bareCol[i]; c >= 0 {
+			for i, c := range bare {
+				if c >= 0 {
 					if c < len(src) {
 						row[i] = src[c]
 					}
 					continue
 				}
-				if machines[i] != nil {
-					if err := vecs[i].Err(ri); err != nil {
-						return nil, err
-					}
-					row[i] = vecs[i].Value(ri)
-					continue
+				v := vecs[slot[i]]
+				if err := v.Err(ri); err != nil {
+					return err
 				}
-				v, err := b.eval(it.Expr, src)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
+				row[i] = v.Value(ri)
 			}
 			out = append(out, row)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	return out, kept, nil
 }
 
-// orderRows sorts output (and keeps srcRows aligned). ORDER BY keys may
-// reference output aliases/columns or source-relation expressions. When
-// LIMIT (+ OFFSET) is statically known, a bounded heap keeps only the
-// top limit+offset rows instead of sorting the whole result — O(n log k)
-// comparisons instead of O(n log n), and the returned slices shrink to k.
-func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []string, out []types.Row, srcRows []types.Row, b *binder) ([]types.Row, []types.Row, error) {
-	type keyFn func(i int) (types.Value, error)
-	fns := make([]keyFn, len(sel.OrderBy))
+// orderRows sorts the output rows. ORDER BY keys may name output
+// aliases/columns or positions, or be source expressions, compiled over
+// src (aligned with out: the source rows, or the group rows in
+// aggregate context). When LIMIT (+ OFFSET) is statically known, a
+// bounded heap keeps only the top limit+offset rows instead of sorting
+// the whole result — O(n log k) comparisons instead of O(n log n).
+func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, out []types.Row, src *relation, b *binder) ([]types.Row, error) {
+	// Per key: an output position (pos >= 0), or slot, the index of its
+	// program among the source-expression keys.
+	pos := make([]int, len(sel.OrderBy))
+	slot := make([]int, len(sel.OrderBy))
+	var progs []*vm.Program
 	for oi, o := range sel.OrderBy {
-		o := o
+		pos[oi] = -1
 		// Alias / output column reference?
 		if cr, ok := o.Expr.(*sqltext.ColumnRef); ok && cr.Table == "" {
-			pos := -1
 			for ci, n := range colNames {
 				if strings.EqualFold(n, cr.Column) {
-					pos = ci
+					pos[oi] = ci
 					break
 				}
 			}
-			if pos >= 0 {
-				p := pos
-				fns[oi] = func(i int) (types.Value, error) { return out[i][p], nil }
+			if pos[oi] >= 0 {
 				continue
 			}
 		}
@@ -721,42 +621,52 @@ func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []str
 		if lit, ok := o.Expr.(*sqltext.Literal); ok && lit.Value.Kind() == types.KindInt {
 			p := int(lit.Value.Int()) - 1
 			if p < 0 || p >= len(colNames) {
-				return nil, nil, fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
+				return nil, fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
 			}
-			fns[oi] = func(i int) (types.Value, error) { return out[i][p], nil }
+			pos[oi] = p
 			continue
 		}
 		// Source expression.
-		expr := o.Expr
-		agg := sqltext.HasAggregate(expr)
-		fns[oi] = func(i int) (types.Value, error) {
-			if i >= len(srcRows) {
-				return types.Null, nil
-			}
-			if agg {
-				return b.evalAgg(expr, []types.Row{srcRows[i]})
-			}
-			return b.eval(expr, srcRows[i])
-		}
+		slot[oi] = len(progs)
+		progs = append(progs, e.compiledProg(o.Expr, src))
 	}
-	// Precompute keys.
+	// Precompute keys, surfacing errors in (row, key) order.
 	keys := make([][]types.Value, len(out))
-	for i := range out {
-		keys[i] = make([]types.Value, len(fns))
-		for j, fn := range fns {
-			v, err := fn(i)
-			if err != nil {
-				return nil, nil, err
+	setKeys := func(i int, vecs []*vm.Vec, lane int) error {
+		keys[i] = make([]types.Value, len(pos))
+		for j, p := range pos {
+			if p >= 0 {
+				keys[i][j] = out[i][p]
+				continue
 			}
-			keys[i][j] = v
+			v := vecs[slot[j]]
+			if err := v.Err(lane); err != nil {
+				return err
+			}
+			keys[i][j] = v.Value(lane)
 		}
+		return nil
+	}
+	if len(progs) == 0 {
+		for i := range out {
+			_ = setKeys(i, nil, 0)
+		}
+	} else if err := e.evalVecsRange(progs, src, b, 0, len(out), func(start, count int, vecs []*vm.Vec) error {
+		for ri := 0; ri < count; ri++ {
+			if err := setKeys(start+ri, vecs, ri); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// less orders row indexes by the ORDER BY keys, breaking ties by
 	// original position so the result matches a stable sort.
 	var sortErr error
 	less := func(a, bb int) bool {
-		for j := range fns {
+		for j := range pos {
 			c, err := types.Compare(keys[a][j], keys[bb][j])
 			if err != nil {
 				sortErr = err
@@ -799,20 +709,13 @@ func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []str
 		sort.Slice(idx, func(a, bb int) bool { return less(idx[a], idx[bb]) })
 	}
 	if sortErr != nil {
-		return nil, nil, sortErr
+		return nil, sortErr
 	}
 	sorted := make([]types.Row, len(idx))
 	for i, p := range idx {
 		sorted[i] = out[p]
 	}
-	sortedSrc := srcRows
-	if len(srcRows) == len(out) {
-		sortedSrc = make([]types.Row, len(idx))
-		for i, p := range idx {
-			sortedSrc[i] = srcRows[p]
-		}
-	}
-	return sorted, sortedSrc, nil
+	return sorted, nil
 }
 
 // constInt evaluates a LIMIT/OFFSET expression when it is a literal or a
@@ -878,25 +781,25 @@ func topKIndexes(n, k int, less func(a, b int) bool) []int {
 	return h
 }
 
-// buildFrom builds the FROM clause (with joins) into a relation and
-// returns a binder over it. The returned bool reports whether the WHERE
-// clause was already applied during the scan (streaming full scan).
-func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *binder, bool, error) {
-	left, whereApplied, err := e.buildTableRef(*sel.From, args, overrides, sel, ctx)
+// buildFrom builds the FROM clause (with joins) into a relation. The
+// returned bool reports whether the WHERE clause was already applied
+// during the scan (streaming full scan).
+func (e *Engine) buildFrom(sel *sqltext.Select, b *binder) (*relation, bool, error) {
+	left, whereApplied, err := e.buildTableRef(*sel.From, b, sel)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	for _, j := range sel.Joins {
-		right, err := e.buildJoinSource(j.Right, args, overrides, ctx)
+		right, err := e.buildJoinSource(j.Right, b)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		left, err = e.join(left, right, j, args, overrides, ctx)
+		left, err = e.join(left, right, j, b)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 	}
-	return left, newBinder(e, args, left, overrides, ctx), whereApplied, nil
+	return left, whereApplied, nil
 }
 
 // buildTableRef builds one FROM entry. When sel is non-nil (single base
@@ -905,7 +808,8 @@ func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides ma
 // or a streaming full scan that evaluates WHERE inside the scan loop so
 // non-matching rows are never copied. The bool reports whether WHERE was
 // fully applied by the scan.
-func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, sel *sqltext.Select, ctx *stmtCtx) (*relation, bool, error) {
+func (e *Engine) buildTableRef(tr sqltext.TableRef, b *binder, sel *sqltext.Select) (*relation, bool, error) {
+	args, overrides, ctx := b.args, b.overrides, b.ctx
 	if tr.Subquery != nil {
 		res, err := e.evalSelectWith(tr.Subquery, args, overrides, ctx)
 		if err != nil {
@@ -992,10 +896,7 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 			if tids, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
 				for _, tid := range tids {
 					if sr, found := tbl.GetAt(tid, ctx.snap); found {
-						full := make(types.Row, 0, len(sr.Values)+2)
-						full = append(full, sr.Values...)
-						full = append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
-						rel.rows = append(rel.rows, full)
+						rel.rows = append(rel.rows, fullRow(sr))
 					}
 				}
 				e.countScanned(ctx, len(tids))
@@ -1010,80 +911,37 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 	// runs the compiled WHERE over column batches of snapshot rows, at
 	// whatever width the table size and worker budget allow.
 	if where != nil {
-		if prog := e.compiledProg(where, rel.cols); prog != nil {
-			// Projection pushdown: when the whole statement reduces to
-			// "filter, project, maybe DISTINCT/LIMIT" and every item
-			// lowers, evaluate the projection on the already-filled
-			// batch and emit output tuples directly — matched rows are
-			// never materialized at full table width.
-			proj := e.scanProjection(sel, rel, args, ctx)
-			if err := e.scanTable(tbl, rel, prog, proj, args, ctx, nUser); err != nil {
-				return nil, false, err
-			}
-			if proj != nil {
-				cols := make([]colMeta, len(proj.names))
-				for i, n := range proj.names {
-					cols[i] = colMeta{name: strings.ToLower(n)}
-				}
-				rel.cols = cols
-				rel.projNames = proj.names
-			}
-			return rel, true, nil
+		// Projection pushdown: when the whole statement reduces to
+		// "filter, project, maybe DISTINCT/LIMIT", evaluate the
+		// projection on the already-filled batch and emit output tuples
+		// directly — matched rows are never materialized at full table
+		// width.
+		proj := e.scanProjection(sel, rel, b)
+		if err := e.scanTable(tbl, rel, e.compiledProg(where, rel), proj, b, nUser); err != nil {
+			return nil, false, err
 		}
-	}
-
-	// Streaming full scan: evaluate WHERE against a reused scratch row
-	// inside the loop, copying out only the matches. Allocation becomes
-	// O(result) instead of O(table).
-	if where != nil {
-		b := newBinder(e, args, rel, overrides, ctx)
-		scratch := make(types.Row, nUser+2)
-		scanned := 0
-		for it := tbl.Iterate(ctx.snap); ; {
-			sr, more := it.Next()
-			if !more {
-				break
+		if proj != nil {
+			cols := make([]colMeta, len(proj.names))
+			for i, n := range proj.names {
+				cols[i] = colMeta{name: strings.ToLower(n)}
 			}
-			scanned++
-			copy(scratch, sr.Values)
-			scratch[nUser] = types.NewInt(sr.TID)
-			scratch[nUser+1] = types.NewInt(sr.Created)
-			ok, err := b.evalBool(where, scratch)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				full := make(types.Row, nUser+2)
-				copy(full, scratch)
-				rel.rows = append(rel.rows, full)
-			}
+			rel.cols = cols
+			rel.projNames = proj.names
 		}
-		e.countScanned(ctx, scanned)
 		return rel, true, nil
 	}
 
-	scanned := 0
-	for it := tbl.Iterate(ctx.snap); ; {
-		sr, more := it.Next()
-		if !more {
-			break
-		}
-		scanned++
-		full := make(types.Row, 0, len(sr.Values)+2)
-		full = append(full, sr.Values...)
-		full = append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
-		rel.rows = append(rel.rows, full)
-	}
-	e.countScanned(ctx, scanned)
+	rel.lazy = true
+	e.materializeRel(rel, ctx)
 	return rel, false, nil
 }
 
 // buildJoinSource builds the right side of a join. Plain base tables
 // stay lazy (columns only) so the join can probe their storage indexes
 // without materializing; everything else falls back to buildTableRef.
-func (e *Engine) buildJoinSource(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, error) {
+func (e *Engine) buildJoinSource(tr sqltext.TableRef, b *binder) (*relation, error) {
 	if tr.Subquery == nil && e.lookupVirtual(tr.Table) == nil {
-		if _, hasOverride := overrides[strings.ToLower(tr.Table)]; !hasOverride {
+		if _, hasOverride := b.overrides[strings.ToLower(tr.Table)]; !hasOverride {
 			name := tr.Table
 			if v, ok := e.cat.View(name); ok {
 				name = v.Backing
@@ -1095,7 +953,7 @@ func (e *Engine) buildJoinSource(tr sqltext.TableRef, args []types.Value, overri
 			}
 		}
 	}
-	rel, _, err := e.buildTableRef(tr, args, overrides, nil, ctx)
+	rel, _, err := e.buildTableRef(tr, b, nil)
 	return rel, err
 }
 
@@ -1113,12 +971,17 @@ func (e *Engine) materializeRel(rel *relation, ctx *stmtCtx) {
 			break
 		}
 		scanned++
-		full := make(types.Row, 0, len(sr.Values)+2)
-		full = append(full, sr.Values...)
-		full = append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
-		rel.rows = append(rel.rows, full)
+		rel.rows = append(rel.rows, fullRow(sr))
 	}
 	e.countScanned(ctx, scanned)
+}
+
+// fullRow is a stored row at relation width: its values, then the _tid
+// and _created system columns.
+func fullRow(sr storage.StoredRow) types.Row {
+	full := make(types.Row, 0, len(sr.Values)+2)
+	full = append(full, sr.Values...)
+	return append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
 }
 
 // countScanned credits base-relation rows examined by a statement —
@@ -1138,145 +1001,181 @@ func (e *Engine) countScanned(ctx *stmtCtx, n int) {
 // join combines two relations according to the join clause, using the
 // planner's classification: hash join on the equality conjuncts of ON
 // (probing the right side's storage index when one covers the key),
-// otherwise a nested loop.
-func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, error) {
+// otherwise a nested loop. Candidate rows are filtered by the compiled
+// residual (hash) or ON (nested loop) a batch at a time; see joinEmitter.
+func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, b *binder) (*relation, error) {
+	ctx := b.ctx
 	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
-
-	concat := func(l, r types.Row) types.Row {
-		row := make(types.Row, 0, len(l)+len(r))
-		row = append(row, l...)
-		return append(row, r...)
-	}
-
-	plan := e.analyzeJoin(left, right, jc, args, overrides, ctx)
+	plan := e.analyzeJoin(left, right, jc)
 
 	if plan.kind == "cross" {
 		e.materializeRel(right, ctx)
 		for _, lr := range left.rows {
 			for _, rr := range right.rows {
-				out.rows = append(out.rows, concat(lr, rr))
+				out.rows = append(out.rows, concatRows(lr, rr))
 			}
 		}
 		return out, nil
 	}
 
-	b := newBinder(e, args, out, overrides, ctx)
-	leftOuter := jc.Kind == "LEFT"
+	em := &joinEmitter{out: out, leftOuter: jc.Kind == "LEFT", pad: len(right.cols)}
+	switch {
+	case plan.kind != "hash":
+		em.f = e.newRowFilter(e.compiledProg(jc.On, out), out, b)
+	case len(plan.residual) == 1:
+		em.f = e.newRowFilter(e.compiledProg(plan.residual[0], out), out, b)
+	case len(plan.residual) > 1:
+		// Built per execution, so compiled outside the program cache.
+		em.f = e.newRowFilter(vm.Compile(residualPredicate(plan.residual), e.vmEnv(out)), out, b)
+	}
 
-	if plan.kind == "hash" {
-		// Residual ON conjuncts (beyond the hash equalities) must hold for
-		// a candidate to count as a match.
-		match := func(row types.Row) (bool, error) {
-			for _, c := range plan.residual {
-				ok, err := b.evalBool(c, row)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}
-
+	if plan.kind == "hash" && right.lazy && (plan.index != "" || plan.probePK) {
 		// Probe the right side's storage index per left row instead of
 		// materializing it and building a second hash table.
-		if right.lazy && (plan.index != "" || plan.probePK) {
-			probed := 0
-			for _, lr := range left.rows {
-				key := make(types.Row, len(plan.perm))
-				null := false
-				for i, p := range plan.perm {
-					v := lr[plan.eqL[p]]
-					if v.IsNull() {
-						null = true
-						break
-					}
-					key[i] = v
+		probed := 0
+		for _, lr := range left.rows {
+			em.begin(lr)
+			key := make(types.Row, len(plan.perm))
+			null := false
+			for i, p := range plan.perm {
+				v := lr[plan.eqL[p]]
+				if v.IsNull() {
+					null = true
+					break
 				}
-				matched := false
-				if !null {
-					var tids []int64
-					if plan.probePK {
-						if tid, found := right.tbl.LookupPKAt(key[0], ctx.snap); found {
-							tids = []int64{tid}
-						}
-					} else if found, ok := right.tbl.LookupIndexAt(plan.index, key, ctx.snap); ok {
-						tids = found
+				key[i] = v
+			}
+			if !null {
+				var tids []int64
+				if plan.probePK {
+					if tid, found := right.tbl.LookupPKAt(key[0], ctx.snap); found {
+						tids = []int64{tid}
 					}
-					for _, tid := range tids {
-						sr, found := right.tbl.GetAt(tid, ctx.snap)
-						if !found {
-							continue
-						}
-						probed++
-						rrow := make(types.Row, 0, len(sr.Values)+2)
-						rrow = append(rrow, sr.Values...)
-						rrow = append(rrow, types.NewInt(sr.TID), types.NewInt(sr.Created))
-						row := concat(lr, rrow)
-						ok, err := match(row)
-						if err != nil {
-							return nil, err
-						}
-						if ok {
-							matched = true
-							out.rows = append(out.rows, row)
-						}
-					}
+				} else if found, ok := right.tbl.LookupIndexAt(plan.index, key, ctx.snap); ok {
+					tids = found
 				}
-				if !matched && leftOuter {
-					pad := make(types.Row, len(right.cols))
-					out.rows = append(out.rows, concat(lr, pad))
+				for _, tid := range tids {
+					sr, found := right.tbl.GetAt(tid, ctx.snap)
+					if !found {
+						continue
+					}
+					probed++
+					em.add(concatRows(lr, fullRow(sr)))
 				}
 			}
-			e.countScanned(ctx, probed)
-			return out, nil
+			if err := em.end(); err != nil {
+				return nil, err
+			}
 		}
+		if err := em.flush(); err != nil {
+			return nil, err
+		}
+		e.countScanned(ctx, probed)
+		return out, nil
+	}
 
-		e.materializeRel(right, ctx)
+	e.materializeRel(right, ctx)
+	var idx *joinIndex
+	if plan.kind == "hash" {
 		// Build side: single map when small, hash-partitioned parallel
 		// build when large (see buildJoinIndex). The probe stays
 		// single-threaded either way and sees identical index lists.
-		idx := e.buildJoinIndex(right.rows, plan.eqR, ctx)
-		for _, lr := range left.rows {
-			matched := false
-			if k, ok := joinKey(lr, plan.eqL); ok {
-				for _, m := range idx.lookup(k) {
-					row := concat(lr, right.rows[m])
-					ok2, err := match(row)
-					if err != nil {
-						return nil, err
-					}
-					if ok2 {
-						matched = true
-						out.rows = append(out.rows, row)
-					}
-				}
-			}
-			if !matched && leftOuter {
-				pad := make(types.Row, len(right.cols))
-				out.rows = append(out.rows, concat(lr, pad))
-			}
-		}
-		return out, nil
+		idx = e.buildJoinIndex(right.rows, plan.eqR, ctx)
 	}
-
-	// General nested-loop join.
-	e.materializeRel(right, ctx)
 	for _, lr := range left.rows {
-		matched := false
-		for _, rr := range right.rows {
-			row := concat(lr, rr)
-			ok, err := b.evalBool(jc.On, row)
-			if err != nil {
-				return nil, err
+		em.begin(lr)
+		if idx == nil {
+			for _, rr := range right.rows {
+				em.add(concatRows(lr, rr))
 			}
-			if ok {
-				matched = true
-				out.rows = append(out.rows, row)
+		} else if k, ok := joinKey(lr, plan.eqL); ok {
+			for _, m := range idx.lookup(k) {
+				em.add(concatRows(lr, right.rows[m]))
 			}
 		}
-		if !matched && leftOuter {
-			pad := make(types.Row, len(right.cols))
-			out.rows = append(out.rows, concat(lr, pad))
+		if err := em.end(); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return out, em.flush()
+}
+
+func concatRows(l, r types.Row) types.Row {
+	row := make(types.Row, 0, len(l)+len(r))
+	row = append(row, l...)
+	return append(row, r...)
+}
+
+// residualPredicate folds a hash join's residual conjuncts into one
+// predicate that checks them one at a time: CASE WHEN c1 THEN (CASE
+// WHEN c2 ...) ELSE FALSE END, so a FALSE or NULL conjunct stops the
+// evaluation before the next one can raise.
+func residualPredicate(cs []sqltext.Expr) sqltext.Expr {
+	x := cs[len(cs)-1]
+	for i := len(cs) - 2; i >= 0; i-- {
+		x = &sqltext.CaseExpr{
+			Whens: []sqltext.WhenClause{{Cond: cs[i], Result: x}},
+			Else:  &sqltext.Literal{Value: types.NewBool(false)},
+		}
+	}
+	return x
+}
+
+// joinEmitter appends a join's matches in left-row order: candidate
+// rows queue up and are filtered in order, a batch at a time, through
+// the compiled predicate f (nil: all match); a LEFT join pads each left
+// row none of whose candidates survives.
+type joinEmitter struct {
+	out       *relation
+	f         *rowFilter
+	leftOuter bool
+	pad       int // right-side width
+
+	lefts []types.Row // left rows queued since the last flush
+	owner []int       // per candidate: its left row's index in lefts
+	cands []types.Row
+}
+
+func (j *joinEmitter) begin(lr types.Row) { j.lefts = append(j.lefts, lr) }
+
+func (j *joinEmitter) add(row types.Row) {
+	j.owner = append(j.owner, len(j.lefts)-1)
+	j.cands = append(j.cands, row)
+}
+
+// end closes the current left row, flushing once a batch has queued.
+func (j *joinEmitter) end() error {
+	if len(j.cands) < vm.BatchSize {
+		return nil
+	}
+	return j.flush()
+}
+
+func (j *joinEmitter) flush() error {
+	var sel []int
+	if j.f != nil {
+		var err error
+		if sel, err = j.f.filter(j.cands); err != nil {
+			return err
+		}
+	}
+	ci, si := 0, 0
+	for li, lr := range j.lefts {
+		matched := false
+		for ; ci < len(j.cands) && j.owner[ci] == li; ci++ {
+			if j.f != nil {
+				if si == len(sel) || sel[si] != ci {
+					continue
+				}
+				si++
+			}
+			matched = true
+			j.out.rows = append(j.out.rows, j.cands[ci])
+		}
+		if !matched && j.leftOuter {
+			j.out.rows = append(j.out.rows, concatRows(lr, make(types.Row, j.pad)))
+		}
+	}
+	j.lefts, j.owner, j.cands = j.lefts[:0], j.owner[:0], j.cands[:0]
+	return nil
 }

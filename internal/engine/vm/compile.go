@@ -17,21 +17,39 @@ import (
 type ScalarFunc func(args []types.Value) (types.Value, error)
 
 // Env is the compile-time environment the engine supplies: how column
-// references resolve against the relation the program will run over,
-// which scalar functions exist, and how a missing positional parameter
-// errors (so compiled statements fail with the engine's exact message).
+// references and aggregate calls resolve against the relation the
+// program will run over, which scalar functions exist, and the engine's
+// exact error texts. A failed lookup compiles to that error, carried by
+// each lane that reaches the node, so lowering is total.
 type Env struct {
-	// Resolve maps a (qualifier, column) reference to a column index.
-	// Returning ok=false (unknown or ambiguous) makes the expression
-	// unlowerable; the engine's interpreter then reports its own error.
-	Resolve func(table, column string) (col int, ok bool)
-	// Func resolves a scalar function by upper-cased name. The returned
-	// implementation is baked into the program, so the engine must purge
+	// Resolve maps a (qualifier, column) reference to a column index, or
+	// returns the error an unknown or ambiguous reference raises.
+	Resolve func(table, column string) (col int, err error)
+	// Func resolves a scalar function by upper-cased name; an unknown
+	// name gets an implementation raising the engine's error, after the
+	// arguments. It is baked into the program, so the engine must purge
 	// compiled programs when its function registry changes.
-	Func func(name string) (ScalarFunc, bool)
+	Func func(name string) ScalarFunc
+	// Aggregate maps an aggregate call to the column holding its
+	// per-group result, or returns the error an aggregate raises outside
+	// GROUP BY context.
+	Aggregate func(call *sqltext.FuncCall) (col int, err error)
 	// MissingParam builds the error for a parameter index with no bound
 	// argument.
 	MissingParam func(idx int) error
+	// ScalarRows builds the error for a scalar subquery returning n rows
+	// (n > 1, or one row wider than a column); InWidth is the error for
+	// an IN subquery whose rows are not one column wide.
+	ScalarRows func(n int) error
+	InWidth    error
+}
+
+// Subqueries evaluates a program's uncorrelated subqueries, one result
+// per statement: every machine of the statement, morsel workers
+// included, shares one implementation, so it must be safe for concurrent
+// use. A machine asks once a lane reaches the subquery, and memoizes.
+type Subqueries interface {
+	Rows(q *sqltext.Select) ([]types.Row, error)
 }
 
 type opcode uint8
@@ -60,6 +78,10 @@ const (
 	opCoalesce                // dst = first non-NULL of args regs
 	opCase                    // dst = CASE: args = cond/result reg pairs, a = else reg or -1
 	opCaseMatch               // dst = (a == b) for operand-form CASE arms
+	opErr                     // dst = err in every lane
+	opScalarSub               // dst = broadcast of scalar subquery subVals[imm]
+	opExistsSub               // dst = [NOT] EXISTS subVals[imm] (c = not)
+	opInSub                   // dst = a [NOT] IN subquery, resolved into sets[imm]
 )
 
 // comparison immediates for opCmp, in terms of types.Compare's result.
@@ -81,6 +103,8 @@ type inst struct {
 	args    []int
 	fn      ScalarFunc
 	set     *inListSpec
+	err     error           // opErr's error
+	sub     *sqltext.Select // subquery of opScalarSub/opExistsSub/opInSub
 }
 
 // Specialized LIKE shapes, packed into opLike's imm above the NOT bit
@@ -143,14 +167,19 @@ type inElem struct {
 // virtual registers, plus the constants, IN-list specs, and parameter
 // error builder the machine needs at bind time.
 type Program struct {
-	insts        []inst
-	nregs        int
-	consts       []types.Value
-	nsets        int
-	result       int
-	cols         []int
-	maxParam     int // highest parameter index referenced + 1
+	insts    []inst
+	nregs    int
+	consts   []types.Value
+	nsets    int
+	nsubs    int
+	result   int
+	cols     []int
+	maxParam int // highest parameter index referenced + 1
+	// The engine's error builders, kept apart from the Env, whose
+	// resolvers may hold on to a whole relation.
 	missingParam func(idx int) error
+	scalarRows   func(n int) error
+	inWidth      error
 }
 
 // Cols returns the sorted set of column indexes the program reads; the
@@ -212,7 +241,7 @@ func (p *Program) StaticKind(kinds []types.Kind) types.Kind {
 			}
 		case opConcat:
 			k = types.KindString
-		case opCmp, opNot, opAnd, opOr, opIsNull, opLike, opBetween, opInList, opInExpr, opCaseMatch:
+		case opCmp, opNot, opAnd, opOr, opIsNull, opLike, opBetween, opInList, opInExpr, opCaseMatch, opExistsSub, opInSub:
 			k = types.KindBool
 		}
 		reg[ins.dst] = k
@@ -220,30 +249,17 @@ func (p *Program) StaticKind(kinds []types.Kind) types.Kind {
 	return reg[p.result]
 }
 
-// errNotLowerable is the internal signal that an expression must stay
-// on the tree-walk interpreter. It is returned (wrapped with the node
-// kind) from Compile; engines treat any Compile error as "fall back",
-// never as a statement failure.
-type notLowerableError struct{ what string }
-
-func (e *notLowerableError) Error() string { return "vm: cannot lower " + e.what }
-
-// Compile lowers an expression tree into a Program, or reports why it
-// cannot be lowered (subqueries, aggregates, unknown functions,
-// unresolvable columns). A Compile error is a fallback signal, not a
-// statement error.
-func Compile(x sqltext.Expr, env *Env) (*Program, error) {
-	c := &compiler{env: env, p: &Program{missingParam: env.MissingParam}, colSet: map[int]bool{}}
-	r, err := c.expr(x)
-	if err != nil {
-		return nil, err
-	}
-	c.p.result = r
+// Compile lowers an expression tree into a Program. Lowering is total:
+// what the reference evaluator would raise for a node is compiled into
+// an instruction carrying that error per lane.
+func Compile(x sqltext.Expr, env *Env) *Program {
+	c := &compiler{env: env, p: &Program{missingParam: env.MissingParam, scalarRows: env.ScalarRows, inWidth: env.InWidth}}
+	c.p.result = c.expr(x)
 	for col := range c.colSet {
 		c.p.cols = append(c.p.cols, col)
 	}
 	sort.Ints(c.p.cols)
-	return c.p, nil
+	return c.p
 }
 
 type compiler struct {
@@ -264,31 +280,50 @@ func (c *compiler) emit(i inst) int {
 	return i.dst
 }
 
-func (c *compiler) expr(x sqltext.Expr) (int, error) {
+func (c *compiler) col(col int) int {
+	if c.colSet == nil {
+		c.colSet = map[int]bool{}
+	}
+	c.colSet[col] = true
+	return c.emit(inst{op: opCol, imm: col})
+}
+
+// fail emits an instruction raising err in every lane.
+func (c *compiler) fail(err error) int {
+	return c.emit(inst{op: opErr, err: err})
+}
+
+func (c *compiler) param(idx int) {
+	if idx+1 > c.p.maxParam {
+		c.p.maxParam = idx + 1
+	}
+}
+
+func (c *compiler) subquery(op opcode, q *sqltext.Select, not bool) int {
+	idx := c.p.nsubs
+	c.p.nsubs++
+	return c.emit(inst{op: op, imm: idx, c: boolImm(not), sub: q})
+}
+
+func (c *compiler) expr(x sqltext.Expr) int {
 	switch x := x.(type) {
 	case *sqltext.Literal:
-		return c.constReg(x.Value), nil
+		return c.constReg(x.Value)
 	case *sqltext.ColumnRef:
-		col, ok := c.env.Resolve(x.Table, x.Column)
-		if !ok {
-			return 0, &notLowerableError{what: fmt.Sprintf("column %s", x.Column)}
-		}
-		c.colSet[col] = true
-		return c.emit(inst{op: opCol, imm: col}), nil
-	case *sqltext.Param:
-		if x.Index+1 > c.p.maxParam {
-			c.p.maxParam = x.Index + 1
-		}
-		return c.emit(inst{op: opParam, imm: x.Index}), nil
-	case *sqltext.Unary:
-		a, err := c.expr(x.X)
+		col, err := c.env.Resolve(x.Table, x.Column)
 		if err != nil {
-			return 0, err
+			return c.fail(err)
 		}
+		return c.col(col)
+	case *sqltext.Param:
+		c.param(x.Index)
+		return c.emit(inst{op: opParam, imm: x.Index})
+	case *sqltext.Unary:
+		a := c.expr(x.X)
 		if x.Op == "NOT" {
-			return c.emit(inst{op: opNot, a: a}), nil
+			return c.emit(inst{op: opNot, a: a})
 		}
-		return c.emit(inst{op: opNeg, a: a}), nil
+		return c.emit(inst{op: opNeg, a: a})
 	case *sqltext.Binary:
 		return c.binary(x)
 	case *sqltext.FuncCall:
@@ -296,49 +331,31 @@ func (c *compiler) expr(x sqltext.Expr) (int, error) {
 	case *sqltext.InExpr:
 		return c.in(x)
 	case *sqltext.IsNull:
-		a, err := c.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return c.emit(inst{op: opIsNull, a: a, imm: boolImm(x.Not)}), nil
+		return c.emit(inst{op: opIsNull, a: c.expr(x.X), imm: boolImm(x.Not)})
 	case *sqltext.Like:
-		a, err := c.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
+		a := c.expr(x.X)
 		if lit, ok := x.Pattern.(*sqltext.Literal); ok && lit.Value.Kind() == types.KindString {
 			if kind, needle, ok := classifyLike(lit.Value.AsString()); ok {
 				// Specialized shape: the pattern register is never
 				// materialized, the kernel compares against the needle
 				// directly. The shape is packed above the NOT bit.
-				return c.emit(inst{op: opLike, a: a, b: -1, imm: boolImm(x.Not) | kind<<1, str: needle}), nil
+				return c.emit(inst{op: opLike, a: a, b: -1, imm: boolImm(x.Not) | kind<<1, str: needle})
 			}
 		}
-		b, err := c.expr(x.Pattern)
-		if err != nil {
-			return 0, err
-		}
-		return c.emit(inst{op: opLike, a: a, b: b, imm: boolImm(x.Not)}), nil
+		return c.emit(inst{op: opLike, a: a, b: c.expr(x.Pattern), imm: boolImm(x.Not)})
 	case *sqltext.Between:
-		a, err := c.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := c.expr(x.Lo)
-		if err != nil {
-			return 0, err
-		}
-		hi, err := c.expr(x.Hi)
-		if err != nil {
-			return 0, err
-		}
-		return c.emit(inst{op: opBetween, a: a, b: lo, c: hi, imm: boolImm(x.Not)}), nil
+		a := c.expr(x.X)
+		lo := c.expr(x.Lo)
+		hi := c.expr(x.Hi)
+		return c.emit(inst{op: opBetween, a: a, b: lo, c: hi, imm: boolImm(x.Not)})
 	case *sqltext.CaseExpr:
 		return c.caseExpr(x)
+	case *sqltext.Subquery:
+		return c.subquery(opScalarSub, x.Query, false)
+	case *sqltext.Exists:
+		return c.subquery(opExistsSub, x.Query, x.Not)
 	default:
-		// Subquery, Exists, and anything the parser grows later stay on
-		// the interpreter.
-		return 0, &notLowerableError{what: fmt.Sprintf("%T", x)}
+		return c.fail(fmt.Errorf("vm: cannot evaluate %T", x))
 	}
 }
 
@@ -348,154 +365,114 @@ func (c *compiler) constReg(v types.Value) int {
 	return c.emit(inst{op: opConst, imm: idx})
 }
 
-func (c *compiler) binary(x *sqltext.Binary) (int, error) {
-	a, err := c.expr(x.L)
-	if err != nil {
-		return 0, err
-	}
-	b, err := c.expr(x.R)
-	if err != nil {
-		return 0, err
-	}
+func (c *compiler) binary(x *sqltext.Binary) int {
+	a := c.expr(x.L)
+	b := c.expr(x.R)
 	switch x.Op {
 	case "AND":
-		return c.emit(inst{op: opAnd, a: a, b: b}), nil
+		return c.emit(inst{op: opAnd, a: a, b: b})
 	case "OR":
-		return c.emit(inst{op: opOr, a: a, b: b}), nil
+		return c.emit(inst{op: opOr, a: a, b: b})
 	case "+":
-		return c.emit(inst{op: opAdd, a: a, b: b}), nil
+		return c.emit(inst{op: opAdd, a: a, b: b})
 	case "-":
-		return c.emit(inst{op: opSub, a: a, b: b}), nil
+		return c.emit(inst{op: opSub, a: a, b: b})
 	case "*":
-		return c.emit(inst{op: opMul, a: a, b: b}), nil
+		return c.emit(inst{op: opMul, a: a, b: b})
 	case "/":
-		return c.emit(inst{op: opDiv, a: a, b: b}), nil
+		return c.emit(inst{op: opDiv, a: a, b: b})
 	case "%":
-		return c.emit(inst{op: opMod, a: a, b: b}), nil
+		return c.emit(inst{op: opMod, a: a, b: b})
 	case "||":
-		return c.emit(inst{op: opConcat, a: a, b: b}), nil
+		return c.emit(inst{op: opConcat, a: a, b: b})
 	case "=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpEq}), nil
+		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpEq})
 	case "!=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpNe}), nil
+		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpNe})
 	case "<":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpLt}), nil
+		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpLt})
 	case "<=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpLe}), nil
+		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpLe})
 	case ">":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpGt}), nil
+		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpGt})
 	case ">=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpGe}), nil
+		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpGe})
 	default:
-		return 0, &notLowerableError{what: "operator " + x.Op}
+		// Unreachable from parsed SQL: the parser emits only the
+		// operators above.
+		return c.fail(fmt.Errorf("engine: unknown operator %q", x.Op))
 	}
 }
 
-func (c *compiler) call(x *sqltext.FuncCall) (int, error) {
-	name := strings.ToUpper(x.Name)
-	if x.Star || x.Distinct || sqltext.IsAggregateName(x.Name) {
-		// Aggregates (and misuse of aggregate syntax) keep the
-		// interpreter's contextual error messages.
-		return 0, &notLowerableError{what: "aggregate " + x.Name}
+func (c *compiler) call(x *sqltext.FuncCall) int {
+	if sqltext.IsAggregateName(x.Name) {
+		col, err := c.env.Aggregate(x)
+		if err != nil {
+			return c.fail(err)
+		}
+		return c.col(col)
 	}
 	args := make([]int, 0, len(x.Args))
 	for _, a := range x.Args {
-		r, err := c.expr(a)
-		if err != nil {
-			return 0, err
-		}
-		args = append(args, r)
+		args = append(args, c.expr(a))
 	}
+	name := strings.ToUpper(x.Name)
 	if name == "COALESCE" {
 		// COALESCE short-circuits per the interpreter's evalFunc: lanes
 		// take the first non-NULL argument in order.
-		return c.emit(inst{op: opCoalesce, args: args}), nil
+		return c.emit(inst{op: opCoalesce, args: args})
 	}
-	fn, ok := c.env.Func(name)
-	if !ok {
-		return 0, &notLowerableError{what: "function " + name}
-	}
-	return c.emit(inst{op: opCall, args: args, fn: fn}), nil
+	return c.emit(inst{op: opCall, args: args, fn: c.env.Func(name)})
 }
 
-func (c *compiler) in(x *sqltext.InExpr) (int, error) {
+func (c *compiler) in(x *sqltext.InExpr) int {
+	a := c.expr(x.X)
+	spec := &inListSpec{not: x.Not}
 	if x.Query != nil {
-		return 0, &notLowerableError{what: "IN (subquery)"}
-	}
-	a, err := c.expr(x.X)
-	if err != nil {
-		return 0, err
+		idx := c.p.nsets
+		c.p.nsets++
+		return c.emit(inst{op: opInSub, a: a, imm: idx, set: spec, sub: x.Query})
 	}
 	// Const list: literals and parameters only, matching the
 	// interpreter's memoized-set path.
-	spec := &inListSpec{not: x.Not}
-	constList := true
 	for _, el := range x.List {
 		switch el := el.(type) {
 		case *sqltext.Literal:
 			spec.elems = append(spec.elems, inElem{param: -1, val: el.Value})
 		case *sqltext.Param:
-			if el.Index+1 > c.p.maxParam {
-				c.p.maxParam = el.Index + 1
-			}
+			c.param(el.Index)
 			spec.elems = append(spec.elems, inElem{param: el.Index})
 		default:
-			constList = false
-		}
-		if !constList {
-			break
+			regs := make([]int, 0, len(x.List))
+			for _, el := range x.List {
+				regs = append(regs, c.expr(el))
+			}
+			return c.emit(inst{op: opInExpr, a: a, args: regs, imm: boolImm(x.Not)})
 		}
 	}
-	if constList {
-		idx := c.p.nsets
-		c.p.nsets++
-		return c.emit(inst{op: opInList, a: a, imm: idx, set: spec}), nil
-	}
-	regs := make([]int, 0, len(x.List))
-	for _, el := range x.List {
-		r, err := c.expr(el)
-		if err != nil {
-			return 0, err
-		}
-		regs = append(regs, r)
-	}
-	return c.emit(inst{op: opInExpr, a: a, args: regs, imm: boolImm(x.Not)}), nil
+	idx := c.p.nsets
+	c.p.nsets++
+	return c.emit(inst{op: opInList, a: a, imm: idx, set: spec})
 }
 
-func (c *compiler) caseExpr(x *sqltext.CaseExpr) (int, error) {
-	var operand int
-	hasOperand := x.Operand != nil
-	if hasOperand {
-		r, err := c.expr(x.Operand)
-		if err != nil {
-			return 0, err
-		}
-		operand = r
+func (c *compiler) caseExpr(x *sqltext.CaseExpr) int {
+	operand := -1
+	if x.Operand != nil {
+		operand = c.expr(x.Operand)
 	}
 	args := make([]int, 0, 2*len(x.Whens))
 	for _, w := range x.Whens {
-		cond, err := c.expr(w.Cond)
-		if err != nil {
-			return 0, err
-		}
-		if hasOperand {
+		cond := c.expr(w.Cond)
+		if operand >= 0 {
 			cond = c.emit(inst{op: opCaseMatch, a: operand, b: cond})
 		}
-		res, err := c.expr(w.Result)
-		if err != nil {
-			return 0, err
-		}
-		args = append(args, cond, res)
+		args = append(args, cond, c.expr(w.Result))
 	}
 	elseReg := -1
 	if x.Else != nil {
-		r, err := c.expr(x.Else)
-		if err != nil {
-			return 0, err
-		}
-		elseReg = r
+		elseReg = c.expr(x.Else)
 	}
-	return c.emit(inst{op: opCase, args: args, a: elseReg, imm: boolImm(hasOperand)}), nil
+	return c.emit(inst{op: opCase, args: args, a: elseReg, imm: boolImm(operand >= 0)})
 }
 
 func boolImm(b bool) int {

@@ -4,31 +4,36 @@ import (
 	"errors"
 	"strings"
 
+	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
 )
 
 // Machine executes one Program. It owns the register file and the
-// bind-time state (parameter broadcasts, IN sets), so it is cheap to
-// reuse across batches within a statement but must not be shared
-// between goroutines.
+// bind-time state (parameter broadcasts, IN sets, resolved subqueries),
+// so it is cheap to reuse across batches within a statement but must
+// not be shared between goroutines.
 type Machine struct {
-	p      *Program
-	regs   []Vec
-	consts []Vec
-	params []Vec
-	sets   []*runInSet
-	args   []types.Value
-	argBuf []types.Value // reused per-lane scratch for opCall
-	sel    []int
+	p       *Program
+	regs    []Vec
+	consts  []Vec
+	params  []Vec
+	sets    []*runInSet
+	args    []types.Value
+	subs    Subqueries
+	subVals []*Vec        // resolved scalar/EXISTS subqueries, by subquery index
+	argBuf  []types.Value // reused per-lane scratch for opCall
+	sel     []int
 }
 
 // runInSet is a bound IN list: either a hash set (all parameters in
 // range, mirroring the interpreter's constInSet) or the element-walk
-// slow path when a parameter is missing.
+// slow path when a parameter is missing. A resolved IN subquery is a
+// hash set too, or err when the subquery failed.
 type runInSet struct {
 	vals    map[string]bool
 	hasNull bool
 	slow    bool // walk elements per lane (a parameter was out of range)
+	err     error
 }
 
 // NewMachine prepares a register file and constant broadcasts for p.
@@ -41,10 +46,13 @@ func NewMachine(p *Program) *Machine {
 	return m
 }
 
-// Bind fixes the statement arguments: parameter broadcasts and IN-list
-// sets are built once, then shared by every batch.
-func (m *Machine) Bind(args []types.Value) {
-	m.args = args
+// Bind fixes the statement arguments and the subquery resolver:
+// parameter broadcasts and IN-list sets are built once, then shared by
+// every batch; subqueries resolve at the first lane that reaches them.
+// subs may be nil only for programs without subqueries.
+func (m *Machine) Bind(args []types.Value, subs Subqueries) {
+	m.args, m.subs = args, subs
+	m.subVals = make([]*Vec, m.p.nsubs)
 	if m.p.maxParam > 0 {
 		m.params = make([]Vec, m.p.maxParam)
 		for i := 0; i < m.p.maxParam; i++ {
@@ -57,6 +65,9 @@ func (m *Machine) Bind(args []types.Value) {
 	}
 	m.sets = m.sets[:0]
 	for _, ins := range m.p.insts {
+		if ins.op == opInSub {
+			m.sets = append(m.sets, nil) // resolved at first use
+		}
 		if ins.op != opInList {
 			continue
 		}
@@ -116,7 +127,8 @@ func broadcast(v types.Value) Vec {
 }
 
 // errBroadcast builds a vector whose every lane carries err (an unbound
-// parameter: the row errors only if the lane is actually consulted).
+// parameter, an unknown column, a failed subquery: the row errors only
+// if the lane is actually consulted).
 func errBroadcast(err error) Vec {
 	var out Vec
 	out.resetBoxed(0)
@@ -169,7 +181,7 @@ func (m *Machine) Eval(b *Batch) *Vec {
 			m.like(ins, n)
 		case opBetween:
 			m.between(ins, n)
-		case opInList:
+		case opInList, opInSub:
 			m.inList(ins, n)
 		case opInExpr:
 			m.inExpr(ins, n)
@@ -181,6 +193,16 @@ func (m *Machine) Eval(b *Batch) *Vec {
 			m.caseOp(ins, n)
 		case opCaseMatch:
 			m.caseMatch(ins, n)
+		case opErr:
+			dst := &m.regs[ins.dst]
+			dst.resetBoxed(n)
+			for i := 0; i < n; i++ {
+				dst.setErr(i, ins.err)
+			}
+		case opScalarSub, opExistsSub:
+			v := m.subVec(ins)
+			v.n = n
+			m.regs[ins.dst] = *v
 		}
 	}
 	r := &m.regs[m.p.result]
@@ -205,33 +227,29 @@ func (m *Machine) Filter(b *Batch) ([]int, error) {
 		return m.sel, nil
 	}
 	for i := 0; i < b.n; i++ {
-		if err := v.Err(i); err != nil {
+		t, err := v.Truth(i)
+		if err != nil {
 			return nil, err
-		}
-		// evalBool: unknown collapses to false at a filter boundary.
-		if v.isNull(i) {
-			continue
-		}
-		var t bool
-		switch v.kind {
-		case types.KindBool:
-			t = v.bs[i]
-		case types.KindInt:
-			t = v.i64[i] != 0
-		case types.KindFloat:
-			t = v.f64[i] != 0
-		default:
-			bv, err := v.any[i].AsBool()
-			if err != nil {
-				return nil, err
-			}
-			t = bv
 		}
 		if t {
 			m.sel = append(m.sel, i)
 		}
 	}
 	return m.sel, nil
+}
+
+// Truth reads lane i at a filter boundary (WHERE, HAVING, JOIN ON): the
+// lane's error, else false for NULL (unknown collapses to false), else
+// the value as a boolean.
+func (v *Vec) Truth(i int) (bool, error) {
+	if err := v.Err(i); err != nil {
+		return false, err
+	}
+	if v.isNull(i) {
+		return false, nil
+	}
+	t, err := truthLane(v, i)
+	return t == tvTrue, err
 }
 
 // truthLane is truth3 over one lane: tvFalse/tvTrue/tvUnknown exactly
@@ -805,6 +823,16 @@ func (m *Machine) inList(ins *inst, n int) {
 			dst.null.Set(i)
 			continue
 		}
+		if rs == nil {
+			// An IN subquery: resolved at the first lane that needs its
+			// rows (a NULL or erroring operand never does).
+			rs = m.subquerySet(ins.sub)
+			m.sets[ins.imm] = rs
+		}
+		if rs.err != nil {
+			dst.setErr(i, rs.err)
+			continue
+		}
 		v := a.Value(i)
 		var found, hadNull bool
 		if !rs.slow {
@@ -1015,9 +1043,52 @@ lanes:
 	}
 }
 
+// subVec resolves a scalar or EXISTS subquery on first use and memoizes
+// its broadcast (or its error in every lane) for the machine's binding.
+func (m *Machine) subVec(ins *inst) *Vec {
+	if v := m.subVals[ins.imm]; v != nil {
+		return v
+	}
+	rows, err := m.subs.Rows(ins.sub)
+	val := types.Null
+	switch {
+	case err != nil:
+	case ins.op == opExistsSub:
+		val = types.NewBool((len(rows) > 0) != (ins.c == 1))
+	case len(rows) > 1 || len(rows) == 1 && len(rows[0]) != 1:
+		err = m.p.scalarRows(len(rows))
+	case len(rows) == 1:
+		val = rows[0][0]
+	}
+	out := broadcast(val)
+	if err != nil {
+		out = errBroadcast(err)
+	}
+	m.subVals[ins.imm] = &out
+	return &out
+}
+
+// subquerySet resolves an IN subquery into the hash set of its values.
+func (m *Machine) subquerySet(q *sqltext.Select) *runInSet {
+	rows, err := m.subs.Rows(q)
+	rs := &runInSet{vals: make(map[string]bool, len(rows)), err: err}
+	for _, r := range rows {
+		if len(r) != 1 {
+			rs.err = m.p.inWidth
+			break
+		}
+		if r[0].IsNull() {
+			rs.hasNull = true
+		} else {
+			rs.vals[r[0].HashKey()] = true
+		}
+	}
+	return rs
+}
+
 // LikeMatch implements SQL LIKE with % (any run) and _ (any single
 // rune), case-sensitive, via iterative backtracking. The engine's
-// interpreter delegates here so both paths share one matcher. The %
+// reference evaluator delegates here so both share one matcher. The %
 // case must be tried before the literal case: a '%' pattern rune is
 // always a wildcard, even when the subject rune at that position is
 // itself '%' — otherwise 'a%b' LIKE 'a%' would consume the subject's

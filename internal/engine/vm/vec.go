@@ -3,19 +3,21 @@
 // per-row interface dispatch of the tree-walk interpreter amortizes
 // across ~1k rows at a time.
 //
-// The contract with the interpreter is strict equivalence: for every
-// lane the compiled program must produce the same value, the same NULL,
-// or the same error that internal/engine's binder.eval would have
-// produced for that row — including evaluation order, three-valued
+// The contract with the tree-walk reference evaluator (internal/engine's
+// refEval, kept in its tests) is strict equivalence: for every lane the
+// compiled program must produce the same value, the same NULL, or the
+// same error that the reference would have produced for that row — including evaluation order, three-valued
 // logic, and short-circuit error suppression. Equivalence is achieved
 // by eager evaluation with per-lane error propagation: an operand lane
 // may carry an error instead of a value, and every opcode combines
 // operand errors with exactly the precedence the interpreter's
 // short-circuit order implies (e.g. AND discards the right operand's
-// error when the left operand is FALSE). Expressions the compiler
-// cannot lower (subqueries, aggregates, unknown functions) are not
-// errors: Compile reports them and the engine falls back to the
-// interpreter for that expression.
+// error when the left operand is FALSE). Lowering is total: a node the
+// reference evaluator would reject (unknown column, unknown function,
+// aggregate outside GROUP BY) compiles to an instruction carrying that
+// error per lane; uncorrelated subqueries read a per-statement result
+// through the Subqueries resolver given at Bind; aggregate calls read
+// the per-group result columns the engine's Env maps them to.
 package vm
 
 import (
@@ -155,20 +157,6 @@ func (v *Vec) Int(i int) int64 { return v.i64[i] }
 // Kind() == types.KindFloat and the lane is non-NULL and error-free.
 func (v *Vec) Float(i int) float64 { return v.f64[i] }
 
-// AnyErr reports whether any lane of the vector carries an error —
-// cheap pre-check before a fold takes a no-error fast path.
-func (v *Vec) AnyErr() bool {
-	if v.errs == nil {
-		return false
-	}
-	for i := 0; i < v.n; i++ {
-		if v.errs[i] != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // Value reconstructs lane i as a types.Value. Undefined when the lane
 // carries an error — callers must check Err first.
 func (v *Vec) Value(i int) types.Value {
@@ -244,6 +232,11 @@ func (b *Batch) Reset() {
 
 // Len reports the number of appended rows.
 func (b *Batch) Len() int { return b.n }
+
+// SetErr makes lane i of column c carry err instead of its value (an
+// aggregate result whose fold failed). Valid until the next Fill,
+// Append or Reset refills the column.
+func (b *Batch) SetErr(c, i int, err error) { b.cols[c].setErr(i, err) }
 
 // Col returns column c's vector sized to the batch length.
 func (b *Batch) Col(c int) *Vec {

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,19 +10,18 @@ import (
 	"ediflow/internal/types"
 )
 
-// testEnv resolves single-letter int columns a=0, b=1, s=2 (string) and
-// knows one function DOUBLE.
+// testEnv resolves single-letter int columns a=0, b=1, s=2 (string),
+// knows one function DOUBLE, and maps every aggregate call to column b.
 func testEnv() *Env {
 	cols := map[string]int{"a": 0, "b": 1, "s": 2}
 	return &Env{
-		Resolve: func(table, column string) (int, bool) {
-			if table != "" {
-				return 0, false
+		Resolve: func(table, column string) (int, error) {
+			if i, ok := cols[column]; ok && table == "" {
+				return i, nil
 			}
-			i, ok := cols[column]
-			return i, ok
+			return 0, fmt.Errorf("unknown column %s", column)
 		},
-		Func: func(name string) (ScalarFunc, bool) {
+		Func: func(name string) ScalarFunc {
 			if name == "DOUBLE" {
 				return func(args []types.Value) (types.Value, error) {
 					n, err := args[0].AsInt()
@@ -28,11 +29,21 @@ func testEnv() *Env {
 						return types.Null, err
 					}
 					return types.NewInt(2 * n), nil
-				}, true
+				}
 			}
-			return nil, false
+			return func([]types.Value) (types.Value, error) {
+				return types.Null, fmt.Errorf("unknown function %s", name)
+			}
+		},
+		Aggregate: func(call *sqltext.FuncCall) (int, error) {
+			if call.Name == "SUM" {
+				return 1, nil
+			}
+			return 0, fmt.Errorf("aggregate %s outside GROUP BY context", call.Name)
 		},
 		MissingParam: func(idx int) error { return errMissing },
+		ScalarRows:   func(n int) error { return fmt.Errorf("scalar %d", n) },
+		InWidth:      errors.New("in width"),
 	}
 }
 
@@ -50,11 +61,7 @@ func compileExprSQL(t *testing.T, src string) *Program {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	sel := stmt.(*sqltext.Select)
-	p, err := Compile(sel.Items[0].Expr, testEnv())
-	if err != nil {
-		t.Fatalf("compile %q: %v", src, err)
-	}
-	return p
+	return Compile(sel.Items[0].Expr, testEnv())
 }
 
 func makeBatch(rows []types.Row) *Batch {
@@ -72,7 +79,7 @@ func row(a, b int64, s string) types.Row {
 func TestCompileAndEvalArithmetic(t *testing.T) {
 	p := compileExprSQL(t, "a * 3 + b")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(1, 10, "x"), row(2, 20, "y"), row(-1, 5, "z")})
 	v := m.Eval(batch)
 	want := []int64{13, 26, 2}
@@ -90,7 +97,7 @@ func TestCompileAndEvalArithmetic(t *testing.T) {
 func TestFilterSelectionVector(t *testing.T) {
 	p := compileExprSQL(t, "a % 2 = 0")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(0, 0, ""), row(1, 0, ""), row(2, 0, ""), row(3, 0, ""), row(4, 0, "")})
 	sel, err := m.Filter(batch)
 	if err != nil {
@@ -111,7 +118,7 @@ func TestNullThreeValuedLogic(t *testing.T) {
 	// NULL-aware AND/OR: (a > 1) with a NULL lane stays NULL; OR TRUE wins.
 	p := compileExprSQL(t, "a > 1 OR b = 0")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{
 		{types.Null, types.NewInt(0), types.NewString("")}, // NULL OR TRUE = TRUE
 		{types.Null, types.NewInt(9), types.NewString("")}, // NULL OR FALSE = NULL
@@ -138,7 +145,7 @@ func TestLaneErrorsAreHeldPerLane(t *testing.T) {
 	// Division by zero errors only the lane that divides by zero.
 	p := compileExprSQL(t, "a / b")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(10, 2, ""), row(10, 0, ""), row(9, 3, "")})
 	v := m.Eval(batch)
 	if err := v.Err(0); err != nil {
@@ -158,7 +165,7 @@ func TestLaneErrorsAreHeldPerLane(t *testing.T) {
 func TestFunctionCall(t *testing.T) {
 	p := compileExprSQL(t, "DOUBLE(a) + 1")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(3, 0, ""), row(7, 0, "")})
 	v := m.Eval(batch)
 	if v.Value(0).Int() != 7 || v.Value(1).Int() != 15 {
@@ -169,7 +176,7 @@ func TestFunctionCall(t *testing.T) {
 func TestParamsAndInList(t *testing.T) {
 	p := compileExprSQL(t, "a IN (?, ?, 5)")
 	m := NewMachine(p)
-	m.Bind([]types.Value{types.NewInt(1), types.NewInt(3)})
+	m.Bind([]types.Value{types.NewInt(1), types.NewInt(3)}, nil)
 	batch := makeBatch([]types.Row{row(1, 0, ""), row(2, 0, ""), row(5, 0, "")})
 	sel, err := m.Filter(batch)
 	if err != nil {
@@ -180,23 +187,104 @@ func TestParamsAndInList(t *testing.T) {
 	}
 }
 
-func TestNotLowerable(t *testing.T) {
-	// Subquery IN must refuse to lower, not miscompile.
-	stmt, err := sqltext.Parse("SELECT a FROM t WHERE a IN (SELECT a FROM t)")
-	if err != nil {
-		t.Fatal(err)
+// TestCompileIsTotal: nodes the reference evaluator rejects compile to
+// per-lane errors raised only where a lane reaches them, in the
+// reference's order — operands first, short-circuit respected — and
+// an empty batch raises nothing.
+func TestCompileIsTotal(t *testing.T) {
+	batch := makeBatch([]types.Row{row(1, 10, "x"), row(-1, 0, "y")})
+	cases := []struct {
+		src  string
+		want []string // per lane: error text, or the value's rendering
+	}{
+		{"nosuch + 1", []string{"unknown column nosuch", "unknown column nosuch"}},
+		{"a > 0 AND nosuch = 1", []string{"unknown column nosuch", "false"}},
+		{"NOSUCH(10 / b)", []string{"unknown function NOSUCH", "types: division by zero"}},
+		{"CASE WHEN a < 0 THEN MAX(a) ELSE 0 END", []string{"0", "aggregate MAX outside GROUP BY context"}},
+		{"SUM(a) + a", []string{"11", "-1"}},
 	}
-	sel := stmt.(*sqltext.Select)
-	if _, err := Compile(sel.Where, testEnv()); err == nil {
-		t.Fatal("want notLowerable error for subquery IN")
+	for _, c := range cases {
+		m := NewMachine(compileExprSQL(t, c.src))
+		m.Bind(nil, nil)
+		v := m.Eval(batch)
+		for i, want := range c.want {
+			got := ""
+			if err := v.Err(i); err != nil {
+				got = err.Error()
+			} else {
+				got = v.Value(i).String()
+			}
+			if got != want {
+				t.Errorf("%s lane %d: got %q, want %q", c.src, i, got, want)
+			}
+		}
+		if v := m.Eval(makeBatch(nil)); v.Len() != 0 {
+			t.Errorf("%s: empty batch raised", c.src)
+		}
 	}
-	// Unknown function likewise.
-	stmt2, err := sqltext.Parse("SELECT NO_SUCH_FN(a)")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// fakeSubqueries answers every subquery with the same rows and counts
+// how often it was asked.
+type fakeSubqueries struct {
+	rows  []types.Row
+	err   error
+	calls int
+}
+
+func (f *fakeSubqueries) Rows(*sqltext.Select) ([]types.Row, error) {
+	f.calls++
+	return f.rows, f.err
+}
+
+// TestSubqueriesResolveLazily: a subquery resolves once per binding,
+// only when a lane needs it; a failed or misshapen subquery errors only
+// the lanes that reach it.
+func TestSubqueriesResolveLazily(t *testing.T) {
+	batch := makeBatch([]types.Row{row(1, 0, ""), {types.Null, types.NewInt(0), types.NewString("")}, row(2, 0, "")})
+	one, null := types.Row{types.NewInt(1)}, types.Row{types.Null}
+	cases := []struct {
+		src   string
+		rows  []types.Row
+		err   error
+		want  []string // per lane: value rendering or error text
+		calls int      // over two evaluations
+	}{
+		{"a IN (SELECT a FROM t) OR NOT EXISTS (SELECT a FROM t)", []types.Row{one, null}, nil, []string{"true", "NULL", "NULL"}, 2},
+		{"(SELECT a FROM t) + a", []types.Row{one}, nil, []string{"2", "NULL", "3"}, 1},
+		{"(SELECT a FROM t)", []types.Row{one, one}, nil, []string{"scalar 2", "scalar 2", "scalar 2"}, 1},
+		{"a IN (SELECT a FROM t)", []types.Row{{types.NewInt(1), types.NewInt(2)}}, nil, []string{"in width", "NULL", "in width"}, 1},
+		{"a IN (SELECT a FROM t)", nil, errors.New("boom"), []string{"boom", "NULL", "boom"}, 1},
+		{"a IS NULL OR EXISTS (SELECT a FROM t)", nil, errors.New("boom"), []string{"boom", "true", "boom"}, 1},
 	}
-	if _, err := Compile(stmt2.(*sqltext.Select).Items[0].Expr, testEnv()); err == nil {
-		t.Fatal("want notLowerable error for unknown function")
+	for _, c := range cases {
+		subs := &fakeSubqueries{rows: c.rows, err: c.err}
+		m := NewMachine(compileExprSQL(t, c.src))
+		m.Bind(nil, subs)
+		for round := 0; round < 2; round++ {
+			v := m.Eval(batch)
+			for i, want := range c.want {
+				got := ""
+				if err := v.Err(i); err != nil {
+					got = err.Error()
+				} else {
+					got = v.Value(i).String()
+				}
+				if got != want {
+					t.Fatalf("%s lane %d: got %q, want %q", c.src, i, got, want)
+				}
+			}
+		}
+		if subs.calls != c.calls {
+			t.Fatalf("%s: resolved %d times, want %d", c.src, subs.calls, c.calls)
+		}
+	}
+	// NULL operands never consult an IN subquery.
+	subs := &fakeSubqueries{err: errors.New("boom")}
+	m := NewMachine(compileExprSQL(t, "a IN (SELECT a FROM t)"))
+	m.Bind(nil, subs)
+	if v := m.Eval(makeBatch([]types.Row{{types.Null, types.Null, types.Null}})); v.Err(0) != nil || subs.calls != 0 {
+		t.Fatalf("NULL operand resolved the subquery (calls %d, err %v)", subs.calls, v.Err(0))
 	}
 }
 

@@ -6,48 +6,38 @@ import (
 	"testing"
 
 	"ediflow/internal/engine/vm"
+	"ediflow/internal/sqltext"
+	"ediflow/internal/storage"
 	"ediflow/internal/types"
 )
 
-// execBothModes runs sql under compiled and interpreted evaluation and
-// requires identical results: same error presence/text, same columns,
-// same rows in order, with values compared by kind and rendering.
-func execBothModes(t *testing.T, e *Engine, sql string, args ...types.Value) {
-	t.Helper()
-	e.SetCompiledEval(true)
-	cres, cerr := e.Exec(sql, args...)
-	e.SetCompiledEval(false)
-	ires, ierr := e.Exec(sql, args...)
-	e.SetCompiledEval(true)
-	if (cerr == nil) != (ierr == nil) {
-		t.Fatalf("%s: error divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
+// renderResult renders a statement outcome the way the golden tables
+// record it: KIND(value) cells, rows joined by "; ", "ERR <text>" for an
+// error and "affected <n>" for a mutation.
+func renderResult(res *Result, err error) string {
+	if err != nil {
+		return "ERR " + err.Error()
 	}
-	if cerr != nil {
-		if cerr.Error() != ierr.Error() {
-			t.Fatalf("%s: error text divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
+	if res.Rows == nil && res.Columns == nil {
+		return fmt.Sprintf("affected %d", res.Affected)
+	}
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = fmt.Sprintf("%s(%s)", v.Kind(), v.String())
 		}
-		return
+		rows[i] = strings.Join(cells, " ")
 	}
-	if len(cres.Rows) != len(ires.Rows) {
-		t.Fatalf("%s: row count divergence: compiled %d, interpreted %d", sql, len(cres.Rows), len(ires.Rows))
-	}
-	for i := range cres.Rows {
-		if len(cres.Rows[i]) != len(ires.Rows[i]) {
-			t.Fatalf("%s row %d: width divergence", sql, i)
-		}
-		for j := range cres.Rows[i] {
-			cv, iv := cres.Rows[i][j], ires.Rows[i][j]
-			if cv.Kind() != iv.Kind() || cv.String() != iv.String() {
-				t.Fatalf("%s row %d col %d: compiled %s(%s), interpreted %s(%s)",
-					sql, i, j, cv.Kind(), cv.String(), iv.Kind(), iv.String())
-			}
-		}
-	}
+	return strings.Join(rows, "; ")
 }
 
+// newVMTestDB seeds table v with mixed kinds, NULLs and LIKE
+// metacharacters, plus an empty table z.
 func newVMTestDB(t testing.TB) *Engine {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE v (id INT PRIMARY KEY, a INT, f FLOAT, s STRING, b BOOL)")
+	mustExec(t, e, "CREATE TABLE z (id INT PRIMARY KEY, a INT, s STRING)")
 	rows := []string{
 		"(1, 10, 1.5, 'alpha', TRUE)",
 		"(2, -3, 2.25, 'beta', FALSE)",
@@ -63,134 +53,81 @@ func newVMTestDB(t testing.TB) *Engine {
 	return e
 }
 
-// TestVMDifferentialStatements runs a catalog of full statements in both
-// evaluation modes and requires bit-identical behavior — including NULL
-// three-valued logic, lane-held errors, and type-coercion failures.
+// atWidths runs fn serially and with a four-worker morsel fan-out
+// forced on the tiny test tables.
+func atWidths(t *testing.T, fn func(t *testing.T, e *Engine)) {
+	for _, width := range []int{1, 4} {
+		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+			e := newVMTestDB(t)
+			forceParallel(t, e, width, 2)
+			fn(t, e)
+		})
+	}
+}
+
+// TestVMDifferentialStatements runs the catalog of full statements and
+// requires the golden rows and error texts recorded while the
+// tree-walk interpreter still ran beside the VM — including NULL
+// three-valued logic, lane-held errors, type-coercion failures, and
+// every shape lowering used to refuse: subqueries, unknown or
+// ambiguous columns, unknown functions, HAVING, aggregates inside
+// expressions, aggregates outside GROUP BY, and join residuals.
 func TestVMDifferentialStatements(t *testing.T) {
-	e := newVMTestDB(t)
-	stmts := []string{
-		// Comparisons and arithmetic over ints/floats with NULLs mixed in.
-		"SELECT id FROM v WHERE a > 0",
-		"SELECT id FROM v WHERE a >= -1 AND a <= 10",
-		"SELECT id FROM v WHERE a * 2 + 1 = 15",
-		"SELECT id, a + f FROM v",
-		"SELECT id, a - f, a * f FROM v",
-		"SELECT id FROM v WHERE f < 2.0 OR a > 5",
-		"SELECT id FROM v WHERE NOT (a > 0)",
-		"SELECT id FROM v WHERE a != 7",
-		// NULL 3VL: NULL comparisons drop rows; IS NULL keeps them.
-		"SELECT id FROM v WHERE a = NULL",
-		"SELECT id FROM v WHERE a IS NULL",
-		"SELECT id FROM v WHERE a IS NOT NULL AND b",
-		"SELECT id FROM v WHERE b OR a > 100",
-		"SELECT id, a IS NULL FROM v",
-		// Errors: division by zero only when the erroring row survives.
-		"SELECT id FROM v WHERE 10 / a > 0 AND a > 0",
-		"SELECT id, 10 / a FROM v",
-		"SELECT id, 10 / a FROM v WHERE a != 0 AND a IS NOT NULL",
-		"SELECT id, a % 3 FROM v WHERE a IS NOT NULL AND a != 0",
-		// Type-coercion failures must error identically.
-		"SELECT id FROM v WHERE s > 1",
-		"SELECT id, a + s FROM v",
-		"SELECT id FROM v WHERE b + 1 = 2",
-		// Strings: LIKE, concat, case sensitivity.
-		"SELECT id FROM v WHERE s LIKE 'a%'",
-		"SELECT id FROM v WHERE s LIKE '%eta'",
-		"SELECT id FROM v WHERE s LIKE '_lpha'",
-		"SELECT id FROM v WHERE s NOT LIKE 'b%'",
-		"SELECT id, s || '-x' FROM v",
-		"SELECT id FROM v WHERE s || 'z' = 'betaz'",
-		// IN with constants, params, NULL semantics.
-		"SELECT id FROM v WHERE a IN (10, 7, -1)",
-		"SELECT id FROM v WHERE a IN (10, NULL)",
-		"SELECT id FROM v WHERE a NOT IN (10, 7)",
-		"SELECT id FROM v WHERE a NOT IN (10, NULL)",
-		"SELECT id FROM v WHERE s IN ('alpha', 'beta')",
-		// BETWEEN.
-		"SELECT id FROM v WHERE a BETWEEN 0 AND 10",
-		"SELECT id FROM v WHERE f BETWEEN -5.0 AND 1.0",
-		"SELECT id FROM v WHERE a NOT BETWEEN 0 AND 10",
-		// Functions: builtins over mixed/NULL input.
-		"SELECT id, ABS(a), LENGTH(s) FROM v",
-		"SELECT id, UPPER(s), LOWER(s) FROM v",
-		"SELECT id, COALESCE(a, -99) FROM v",
-		"SELECT id, SUBSTR(s, 2, 2) FROM v",
-		"SELECT id, NULLIF(a, 0), IIF(a > 0, 'pos', 'neg') FROM v",
-		"SELECT id, ROUND(f), FLOOR(f), CEIL(f) FROM v WHERE f IS NOT NULL",
-		"SELECT id, SQRT(a) FROM v WHERE a >= 0",
-		"SELECT id, SQRT(a) FROM v",
-		"SELECT id, CAST_INT(f) FROM v WHERE f IS NOT NULL",
-		"SELECT id, CAST_INT(s) FROM v",
-		// CASE, both forms.
-		"SELECT id, CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END FROM v",
-		"SELECT id, CASE a WHEN 10 THEN 'ten' WHEN 0 THEN 'zero' END FROM v",
-		// Unary minus.
-		"SELECT id, -a, -f FROM v",
-		// Aggregates fed by compiled argument vectors.
-		"SELECT COUNT(*), SUM(a), AVG(a), MIN(a), MAX(a) FROM v",
-		"SELECT COUNT(a), COUNT(DISTINCT s) FROM v",
-		"SELECT s, COUNT(*), SUM(a) FROM v GROUP BY s",
-		"SELECT a % 2, COUNT(*) FROM v WHERE a IS NOT NULL AND a != 0 GROUP BY a % 2",
-		"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) > 0",
-		"SELECT SUM(a + 1), SUM(f * 2.0) FROM v",
-		// DISTINCT folds: argument error, fold error, extrema, grouped,
-		// a HAVING that rejects the only erroring group, and DISTINCT
-		// beside merge-safe items.
-		"SELECT SUM(DISTINCT 10 / a) FROM v",
-		"SELECT SUM(DISTINCT s) FROM v",
-		"SELECT MIN(DISTINCT s), MAX(DISTINCT a) FROM v",
-		"SELECT s, COUNT(DISTINCT a), AVG(DISTINCT f) FROM v GROUP BY s",
-		"SELECT b, SUM(DISTINCT 10 / a) FROM v GROUP BY b HAVING b = FALSE",
-		"SELECT COUNT(DISTINCT a), SUM(a), MAX(f), COUNT(*) FROM v",
-		// ORDER BY / LIMIT on compiled scans.
-		"SELECT id FROM v WHERE a IS NOT NULL ORDER BY a DESC LIMIT 3",
-		"SELECT id, a FROM v ORDER BY id LIMIT 2 OFFSET 2",
-		// Mixed compiled/interpreted projection (subquery item falls back).
-		"SELECT id, a * 2, (SELECT MAX(a) FROM v) FROM v WHERE id <= 3",
-	}
-	for _, sql := range stmts {
-		execBothModes(t, e, sql)
-	}
-	// Parameterized forms.
-	e2 := newVMTestDB(t)
-	execBothModes(t, e2, "SELECT id FROM v WHERE a > ?", types.NewInt(0))
-	execBothModes(t, e2, "SELECT id FROM v WHERE a IN (?, ?)", types.NewInt(10), types.NewInt(7))
-	execBothModes(t, e2, "SELECT id, a + ? FROM v", types.NewInt(5))
-	execBothModes(t, e2, "SELECT id FROM v WHERE s LIKE ?", types.NewString("%eta"))
+	atWidths(t, func(t *testing.T, e *Engine) {
+		for _, g := range vmGoldenStatements {
+			if got := renderResult(e.Exec(g.sql)); got != g.want {
+				t.Errorf("%s\n got: %s\nwant: %s", g.sql, got, g.want)
+			}
+		}
+		for _, g := range vmGoldenParams {
+			if got := renderResult(e.Exec(g.sql, g.args...)); got != g.want {
+				t.Errorf("%s %v\n got: %s\nwant: %s", g.sql, g.args, got, g.want)
+			}
+		}
+	})
 }
 
-// TestVMDifferentialUpdates covers the compiled UPDATE SET and
-// UPDATE/DELETE WHERE paths against the interpreter.
+// TestVMDifferentialUpdates covers the compiled UPDATE SET, INSERT
+// VALUES and UPDATE/DELETE WHERE paths against golden outcomes and the
+// golden final table.
 func TestVMDifferentialUpdates(t *testing.T) {
-	run := func(compiled bool) []string {
-		e := newVMTestDB(t)
-		e.SetCompiledEval(compiled)
-		mustExec(t, e, "UPDATE v SET a = a * 2 + 1 WHERE a IS NOT NULL")
-		mustExec(t, e, "UPDATE v SET s = s || '!' WHERE s LIKE 'a%'")
-		mustExec(t, e, "DELETE FROM v WHERE a > 100")
-		res := mustExec(t, e, "SELECT id, a, f, s, b FROM v ORDER BY id")
-		var out []string
-		for _, r := range res.Rows {
-			out = append(out, types.RowKey(r))
+	atWidths(t, func(t *testing.T, e *Engine) {
+		for _, g := range vmGoldenUpdates {
+			if got := renderResult(e.Exec(g.sql)); got != g.want {
+				t.Errorf("%s\n got: %s\nwant: %s", g.sql, got, g.want)
+			}
 		}
-		return out
-	}
-	c, i := run(true), run(false)
-	if len(c) != len(i) {
-		t.Fatalf("row count divergence: compiled %d, interpreted %d", len(c), len(i))
-	}
-	for k := range c {
-		if c[k] != i[k] {
-			t.Fatalf("row %d divergence\ncompiled:    %s\ninterpreted: %s", k, c[k], i[k])
+		if got := renderResult(e.Exec("SELECT id, a, f, s, b FROM v ORDER BY id")); got != vmGoldenFinal {
+			t.Errorf("final table\n got: %s\nwant: %s", got, vmGoldenFinal)
 		}
-	}
+	})
 }
 
-// FuzzVMDifferential feeds arbitrary expression text through both
-// evaluation modes as a scan filter and as a projection, requiring
-// identical rows and identical error text. NOW() is excluded: it is the
-// one non-deterministic builtin, so the two executions legitimately
-// differ.
+// scanRel materializes a table as a full-width relation (user columns,
+// then _tid and _created), in scan order.
+func scanRel(t testing.TB, e *Engine, table string) *relation {
+	t.Helper()
+	rel, _, err := e.buildTableRef(sqltext.TableRef{Table: table}, newBinder(e, nil, nil, &stmtCtx{snap: storage.SeqLatest}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// laneOutcome renders one value or error for comparison.
+func laneOutcome(v types.Value, err error) string {
+	if err != nil {
+		return "ERR " + err.Error()
+	}
+	return fmt.Sprintf("%s(%s)", v.Kind(), v.String())
+}
+
+// FuzzVMDifferential is the expression-level oracle: arbitrary
+// expression text is compiled — vm.Compile must lower every parsed
+// expression — and run over table v's rows, as a filter and as a
+// projection, against the tree-walk reference evaluator. Kept rows,
+// values and the first error (text included) must be identical. NOW()
+// is excluded: it is the one non-deterministic builtin.
 func FuzzVMDifferential(f *testing.F) {
 	seeds := []string{
 		"a > 0",
@@ -210,47 +147,190 @@ func FuzzVMDifferential(f *testing.F) {
 		"SUBSTR(s, a, 2)",
 		"a + s",
 		"1 / 0",
+		"a IN (SELECT a FROM v WHERE a > 5)",
+		"a = (SELECT MAX(a) FROM v) OR NOT EXISTS (SELECT id FROM z)",
+		"a > 0 AND nosuch = 1",
+		"NOSUCHFN(a) OR b",
+		"SUM(a) > 0",
+		"v.a + x.a",
+		"_tid > 3 AND a IN (?, 1)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	e := newVMTestDB(f)
+	rel := scanRel(f, e, "v")
+	newB := func() *binder { return newBinder(e, nil, nil, &stmtCtx{snap: storage.SeqLatest}) }
 	f.Fuzz(func(t *testing.T, expr string) {
 		if len(expr) > 200 || strings.Contains(strings.ToUpper(expr), "NOW") {
 			t.Skip()
 		}
-		for _, sql := range []string{
-			"SELECT id FROM v WHERE " + expr,
-			"SELECT id, " + expr + " FROM v",
-		} {
-			e.SetCompiledEval(true)
-			cres, cerr := e.Exec(sql)
-			e.SetCompiledEval(false)
-			ires, ierr := e.Exec(sql)
-			e.SetCompiledEval(true)
-			if (cerr == nil) != (ierr == nil) {
-				t.Fatalf("%s: error divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
-			}
-			if cerr != nil {
-				if cerr.Error() != ierr.Error() {
-					t.Fatalf("%s: error text divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
-				}
-				continue
-			}
-			if len(cres.Rows) != len(ires.Rows) {
-				t.Fatalf("%s: row count divergence: %d vs %d", sql, len(cres.Rows), len(ires.Rows))
-			}
-			for i := range cres.Rows {
-				for j := range cres.Rows[i] {
-					cv, iv := cres.Rows[i][j], ires.Rows[i][j]
-					if cv.Kind() != iv.Kind() || cv.String() != iv.String() {
-						t.Fatalf("%s row %d col %d: %s(%s) vs %s(%s)",
-							sql, i, j, cv.Kind(), cv.String(), iv.Kind(), iv.String())
-					}
-				}
+		stmt, err := sqltext.Parse("SELECT " + expr)
+		if err != nil {
+			t.Skip()
+		}
+		sel, ok := stmt.(*sqltext.Select)
+		if !ok || len(sel.Items) != 1 || sel.Items[0].Star || sel.From != nil {
+			t.Skip()
+		}
+		x := sel.Items[0].Expr
+		prog := vm.Compile(x, e.vmEnv(rel))
+		if prog == nil {
+			t.Fatalf("%s: vm.Compile returned no program", expr)
+		}
+
+		// As a filter: the kept row ids, or the first error.
+		var got, want []string
+		if sel, err := e.newRowFilter(prog, rel, newB()).filter(rel.rows); err != nil {
+			got = []string{laneOutcome(types.Null, err)}
+		} else {
+			for _, i := range sel {
+				got = append(got, rel.rows[i][0].String())
 			}
 		}
+		ref := newRefEval(newB(), rel)
+		for _, r := range rel.rows {
+			ok, err := ref.evalBool(x, r)
+			if err != nil {
+				want = []string{laneOutcome(types.Null, err)}
+				break
+			}
+			if ok {
+				want = append(want, r[0].String())
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("WHERE %s\ncompiled:  %v\nreference: %v", expr, got, want)
+		}
+
+		// As a projection: every row's value, up to the first error.
+		got, want = nil, nil
+		_ = e.evalVecsRange([]*vm.Program{prog}, rel, newB(), 0, len(rel.rows), func(start, count int, vecs []*vm.Vec) error {
+			for ri := 0; ri < count; ri++ {
+				err := vecs[0].Err(ri)
+				if err != nil {
+					got = append(got, laneOutcome(types.Null, err))
+					return err
+				}
+				got = append(got, laneOutcome(vecs[0].Value(ri), nil))
+			}
+			return nil
+		})
+		ref = newRefEval(newB(), rel)
+		for _, r := range rel.rows {
+			v, err := ref.eval(x, r)
+			want = append(want, laneOutcome(v, err))
+			if err != nil {
+				break
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("SELECT %s\ncompiled:  %v\nreference: %v", expr, got, want)
+		}
 	})
+}
+
+// TestAggregateContextVsReference holds aggregate-context lowering —
+// per-group result columns read by compiled programs — to the reference
+// evaluator's evalAgg, group by group, over the shapes evalAgg supports
+// (aggregates under arithmetic, unary and function calls, and plain
+// columns read from the group's first row), on v grouped by b and on
+// the empty table z as one implicit group.
+func TestAggregateContextVsReference(t *testing.T) {
+	e := newVMTestDB(t)
+	check := func(table, groupBy string, exprs []string) {
+		rel := scanRel(t, e, table)
+		col, groups := -1, map[string]int{}
+		var rows [][]types.Row
+		if groupBy != "" {
+			col, _ = newColIndex(rel.cols).resolve("", groupBy)
+		}
+		for _, r := range rel.rows {
+			k := ""
+			if col >= 0 {
+				k = types.RowKey(types.Row{r[col]})
+			}
+			gi, ok := groups[k]
+			if !ok {
+				gi = len(rows)
+				groups[k] = gi
+				rows = append(rows, nil)
+			}
+			rows[gi] = append(rows[gi], r)
+		}
+		if col < 0 && len(rows) == 0 {
+			rows = [][]types.Row{nil} // the implicit group of an empty table
+		}
+		for _, x := range exprs {
+			sql := "SELECT " + x + " FROM " + table
+			if groupBy != "" {
+				sql += " GROUP BY " + groupBy
+			}
+			stmt, err := sqltext.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefEval(newBinder(e, nil, nil, &stmtCtx{snap: storage.SeqLatest}), rel)
+			var want []string
+			for _, g := range rows {
+				v, err := ref.evalAgg(stmt.(*sqltext.Select).Items[0].Expr, g)
+				if err != nil {
+					want = []string{"ERR " + err.Error()}
+					break
+				}
+				want = append(want, fmt.Sprintf("%s(%s)", v.Kind(), v.String()))
+			}
+			if got := renderResult(e.Exec(sql)); got != strings.Join(want, "; ") {
+				t.Errorf("%s\n      got: %s\nreference: %s", sql, got, strings.Join(want, "; "))
+			}
+		}
+	}
+	check("v", "b", []string{
+		"SUM(a)", "COUNT(*)", "COUNT(DISTINCT s)", "SUM(a) + 1", "MAX(f) - MIN(a)",
+		"-SUM(a)", "ABS(MIN(a))", "AVG(f) * 2", "SUM(a) / COUNT(a)", "b", "a",
+		"COALESCE(MAX(s), 'none')", "UPPER(MIN(s))", "SUM(10 / a)", "SUM(s)",
+		"COUNT(*) + SUM(10 / a)", "MAX(a) % (MIN(a) - MIN(a))",
+	})
+	check("z", "", []string{"SUM(a)", "COUNT(*)", "SUM(a) + 1", "COALESCE(MAX(s), 'none')", "COUNT(*) + SUM(10 / a)"})
+}
+
+// TestOrderByAggregate: ORDER BY an aggregate sorts groups by the
+// aggregate over the whole group. It used to evaluate the aggregate
+// over each group's first row only, so SUM(v) ordered k = 2, 3, 1.
+func TestOrderByAggregate(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE g (k INT, v INT)")
+	mustExec(t, e, "INSERT INTO g (k, v) VALUES (1, 100), (1, -200), (2, 5), (2, 6), (3, 50), (3, 1), (3, 2)")
+	for _, c := range []struct{ sql, want string }{
+		// Sums: k=1 → -100, k=2 → 11, k=3 → 53.
+		{"SELECT k, SUM(v) FROM g GROUP BY k ORDER BY SUM(v)", "INT(1) INT(-100); INT(2) INT(11); INT(3) INT(53)"},
+		{"SELECT k FROM g GROUP BY k ORDER BY COUNT(*) DESC, k", "INT(3); INT(1); INT(2)"},
+		{"SELECT k FROM g GROUP BY k ORDER BY MAX(v) - MIN(v)", "INT(2); INT(3); INT(1)"},
+		{"SELECT k, SUM(v) FROM g GROUP BY k HAVING SUM(v) > 0 ORDER BY COUNT(*) DESC", "INT(3) INT(53); INT(2) INT(11)"},
+		{"SELECT k, SUM(v) AS s FROM g GROUP BY k ORDER BY s", "INT(1) INT(-100); INT(2) INT(11); INT(3) INT(53)"},
+	} {
+		if got := renderResult(e.Exec(c.sql)); got != c.want {
+			t.Errorf("%s\n got: %s\nwant: %s", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestAggregatesUnderAnyOperator: in aggregate context every aggregate
+// call reads its group's result, whatever operator it sits under. The
+// reference evaluator only followed aggregates through arithmetic,
+// unary and function-call nodes and raised "outside GROUP BY context"
+// for the rest.
+func TestAggregatesUnderAnyOperator(t *testing.T) {
+	e := newVMTestDB(t)
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT CASE WHEN SUM(a) > 0 THEN 'pos' ELSE 'neg' END FROM v", "STRING(pos)"},
+		{"SELECT b, MAX(a) IS NULL, MIN(s) LIKE 'a%' FROM v GROUP BY b", "BOOL(true) BOOL(false) BOOL(false); BOOL(false) BOOL(false) BOOL(false); NULL(NULL) BOOL(false) BOOL(false)"},
+		{"SELECT s FROM v GROUP BY s HAVING COUNT(*) IN (2, 3)", "STRING(beta)"},
+	} {
+		if got := renderResult(e.Exec(c.sql)); got != c.want {
+			t.Errorf("%s\n got: %s\nwant: %s", c.sql, got, c.want)
+		}
+	}
 }
 
 // TestVMStaleProgramAfterDDL pins the regression from the issue: a
@@ -312,12 +392,13 @@ func TestVMFunctionRegistryInvalidation(t *testing.T) {
 	if res := mustExec(t, e, q); res.Rows[0][0].Int() != 30 {
 		t.Fatalf("re-registered impl not picked up: got %v (stale compiled program?)", res.Rows[0][0])
 	}
-	// UDFs work interpreted too, and cannot shadow builtins.
-	e.SetCompiledEval(false)
-	if res := mustExec(t, e, q); res.Rows[0][0].Int() != 30 {
-		t.Fatalf("interpreted UDF: got %v", res.Rows[0][0])
+	// The reference evaluator resolves UDFs the same way, and they
+	// cannot shadow builtins.
+	rel := scanRel(t, e, "r")
+	ref := newRefEval(newBinder(e, nil, nil, &stmtCtx{snap: storage.SeqLatest}), rel)
+	if v, err := ref.eval(&sqltext.FuncCall{Name: "SCALE", Args: []sqltext.Expr{&sqltext.ColumnRef{Column: "x"}}}, rel.rows[0]); err != nil || v.Int() != 30 {
+		t.Fatalf("reference UDF: got %v, %v", v, err)
 	}
-	e.SetCompiledEval(true)
 	e.RegisterFunc("ABS", func([]types.Value) (types.Value, error) {
 		return types.NewInt(-1), nil
 	})
@@ -328,8 +409,7 @@ func TestVMFunctionRegistryInvalidation(t *testing.T) {
 
 // TestVMBatchBoundaries sweeps result sizes around the batch constant —
 // 0, 1, batch-1, batch, batch+1, 3*batch — against plain scans, LIMIT,
-// and top-k, under both evaluation modes. Catches off-by-one selection
-// carryover at batch edges.
+// and top-k. Catches off-by-one selection carryover at batch edges.
 func TestVMBatchBoundaries(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE big (n INT, grp INT)")
@@ -342,16 +422,12 @@ func TestVMBatchBoundaries(t *testing.T) {
 
 	sizes := []int{0, 1, vm.BatchSize - 1, vm.BatchSize, vm.BatchSize + 1, 3 * vm.BatchSize}
 	for _, want := range sizes {
-		sql := fmt.Sprintf("SELECT n FROM big WHERE n < %d", want)
-		for _, compiled := range []bool{true, false} {
-			e.SetCompiledEval(compiled)
-			res := mustExec(t, e, sql)
-			if len(res.Rows) != want {
-				t.Fatalf("compiled=%v size %d: got %d rows", compiled, want, len(res.Rows))
-			}
+		res := mustExec(t, e, fmt.Sprintf("SELECT n FROM big WHERE n < %d", want))
+		if len(res.Rows) != want {
+			t.Fatalf("size %d: got %d rows", want, len(res.Rows))
 		}
 		// LIMIT capping a larger compiled result to the boundary size.
-		res := mustExec(t, e, fmt.Sprintf("SELECT n FROM big WHERE n >= 0 LIMIT %d", want))
+		res = mustExec(t, e, fmt.Sprintf("SELECT n FROM big WHERE n >= 0 LIMIT %d", want))
 		if len(res.Rows) != want {
 			t.Fatalf("LIMIT %d: got %d rows", want, len(res.Rows))
 		}
@@ -366,9 +442,21 @@ func TestVMBatchBoundaries(t *testing.T) {
 			}
 		}
 	}
-	e.SetCompiledEval(true)
-	// Batched grouping across chunk edges must agree with the interpreter.
-	execBothModes(t, e, "SELECT grp, COUNT(*), SUM(n) FROM big GROUP BY grp")
+	// Batched grouping across chunk edges must match the arithmetic.
+	res := mustExec(t, e, "SELECT grp, COUNT(*), SUM(n) FROM big GROUP BY grp")
+	if len(res.Rows) != 10 {
+		t.Fatalf("GROUP BY: %d groups", len(res.Rows))
+	}
+	for gi, r := range res.Rows {
+		var cnt, sum int64
+		for n := gi; n < total; n += 10 {
+			cnt++
+			sum += int64(n)
+		}
+		if r[0].Int() != int64(gi) || r[1].Int() != cnt || r[2].Int() != sum {
+			t.Fatalf("group %d: got %v, want (%d, %d, %d)", gi, r, gi, cnt, sum)
+		}
+	}
 }
 
 // TestVMMultiBatchLogicalReuse: regression for stale selection bits.
@@ -386,18 +474,37 @@ func TestVMMultiBatchLogicalReuse(t *testing.T) {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO mb (n) VALUES (%d)", i))
 	}
 	mustExec(t, e, "COMMIT")
-	for _, q := range []string{
-		fmt.Sprintf("SELECT n FROM mb WHERE n < %d AND n %% 7 = 0", vm.BatchSize),
-		"SELECT n FROM mb WHERE (n * 3 + 1) % 7 = 0 AND n % 11 != 0",
-		fmt.Sprintf("SELECT n FROM mb WHERE n %% 13 = 0 OR n >= %d", 3*vm.BatchSize),
-		"SELECT COUNT(*) FROM mb WHERE n % 2 = 0 AND n % 3 = 0",
+	for _, c := range []struct {
+		q    string
+		keep func(n int) bool
+	}{
+		{fmt.Sprintf("SELECT n FROM mb WHERE n < %d AND n %% 7 = 0", vm.BatchSize), func(n int) bool { return n < vm.BatchSize && n%7 == 0 }},
+		{"SELECT n FROM mb WHERE (n * 3 + 1) % 7 = 0 AND n % 11 != 0", func(n int) bool { return (n*3+1)%7 == 0 && n%11 != 0 }},
+		{fmt.Sprintf("SELECT n FROM mb WHERE n %% 13 = 0 OR n >= %d", 3*vm.BatchSize), func(n int) bool { return n%13 == 0 || n >= 3*vm.BatchSize }},
 	} {
-		execBothModes(t, e, q)
+		var want []int64
+		for n := 0; n < total; n++ {
+			if c.keep(n) {
+				want = append(want, int64(n))
+			}
+		}
+		res := mustExec(t, e, c.q)
+		if len(res.Rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", c.q, len(res.Rows), len(want))
+		}
+		for i, r := range res.Rows {
+			if r[0].Int() != want[i] {
+				t.Fatalf("%s row %d: %v, want %d", c.q, i, r[0], want[i])
+			}
+		}
+	}
+	if res := mustExec(t, e, "SELECT COUNT(*) FROM mb WHERE n % 2 = 0 AND n % 3 = 0"); res.Rows[0][0].Int() != int64((total+5)/6) {
+		t.Fatalf("COUNT: got %v, want %d", res.Rows[0][0], (total+5)/6)
 	}
 }
 
-// TestVMMetricsCounters: the vm.* counters must tick for compiled
-// statements and vm.fallback must tick for unlowerable expressions.
+// TestVMMetricsCounters: the vm.* counters tick for compiled statements,
+// subquery predicates included.
 func TestVMMetricsCounters(t *testing.T) {
 	e := newVMTestDB(t)
 	c0, b0, r0 := e.mVMCompile.Value(), e.mVMBatches.Value(), e.mVMRows.Value()
@@ -408,10 +515,10 @@ func TestVMMetricsCounters(t *testing.T) {
 	if e.mVMBatches.Value() == b0 || e.mVMRows.Value() == r0 {
 		t.Fatal("vm.exec_batches / vm.rows did not increase")
 	}
-	f0 := e.mVMFallback.Value()
+	c1 := e.mVMCompile.Value()
 	mustExec(t, e, "SELECT id FROM v WHERE a > (SELECT MIN(a) FROM v)")
-	if e.mVMFallback.Value() == f0 {
-		t.Fatal("vm.fallback did not increase for subquery predicate")
+	if e.mVMCompile.Value() == c1 {
+		t.Fatal("vm.compile did not increase for subquery predicate")
 	}
 	// Counters are exported through sys_metrics.
 	res := mustExec(t, e, "SELECT name FROM sys_metrics WHERE name LIKE 'vm.%'")
@@ -420,25 +527,13 @@ func TestVMMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestExplainCompiledMarkers: the marker must appear on lowered nodes
-// and stay absent when the expression falls back.
+// TestExplainCompiledMarkers: the marker appears on every full-scan
+// filter and join-free projection, subquery predicates included.
 func TestExplainCompiledMarkers(t *testing.T) {
 	e := newVMTestDB(t)
 	wantLine(t, explainLines(t, e, "SELECT id FROM v WHERE a + 1 > 0"), "scan v: full-scan [compiled]")
 	wantLine(t, explainLines(t, e, "SELECT a * 2 FROM v WHERE a > 0"), "project: compiled")
 	wantLine(t, explainLines(t, e, "UPDATE v SET a = 0 WHERE a < 0"), "update v: full-scan [compiled]")
 	wantLine(t, explainLines(t, e, "DELETE FROM v WHERE a < 0"), "delete v: full-scan [compiled]")
-	// Subquery predicates cannot lower: no marker.
-	for _, l := range explainLines(t, e, "SELECT id FROM v WHERE a > (SELECT MIN(a) FROM v)") {
-		if strings.Contains(l, "[compiled]") {
-			t.Fatalf("unexpected compiled marker in %q", l)
-		}
-	}
-	// With the VM disabled the marker disappears entirely.
-	e.SetCompiledEval(false)
-	for _, l := range explainLines(t, e, "SELECT id FROM v WHERE a + 1 > 0") {
-		if strings.Contains(l, "compiled") {
-			t.Fatalf("compiled marker with VM off: %q", l)
-		}
-	}
+	wantLine(t, explainLines(t, e, "SELECT id FROM v WHERE a > (SELECT MIN(a) FROM v)"), "scan v: full-scan [compiled]")
 }

@@ -92,6 +92,14 @@ func NewMirror(db driver.Conn, user, table string) (*Mirror, error) {
 }
 
 func (m *Mirror) initialLoad() error {
+	// The cursor is read before the snapshot. A commit landing between
+	// the two reads is then both loaded and fetched again at the next
+	// refresh — harmless, refreshes are idempotent — instead of being
+	// acknowledged without ever having been loaded.
+	seq, err := m.currentMaxSeq()
+	if err != nil {
+		return err
+	}
 	res, err := m.db.Query(fmt.Sprintf("SELECT *, %s FROM %s", catalog.SysTID, m.table))
 	if err != nil {
 		return err
@@ -103,19 +111,18 @@ func (m *Mirror) initialLoad() error {
 		tid := r[len(r)-1].Int()
 		m.rows[tid] = r[:len(r)-1]
 	}
-	// Everything up to now is covered by the initial load.
-	return m.cl.Ack(m.currentMaxSeq())
+	return m.cl.Ack(seq)
 }
 
-func (m *Mirror) currentMaxSeq() int64 {
+// currentMaxSeq reads the table's latest notification sequence number.
+func (m *Mirror) currentMaxSeq() (int64, error) {
 	v, err := m.db.QueryValue(
 		"SELECT COALESCE(MAX(seq_no), 0) FROM "+database.TableNotification+" WHERE tbl = ?",
 		types.NewString(m.table))
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	n, _ := v.AsInt()
-	return n
+	return v.AsInt()
 }
 
 // Columns returns the mirrored column names.
